@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the batched and streaming replay kernels.
+"""Micro-benchmarks of the batched replay kernels.
 
 The batched kernels are what make multi-cell sweeps cheap: one bounded
 stack-distance pass serves every LRU ``(CS, CD)`` cell at once, and one
@@ -9,11 +9,7 @@ workloads:
 * ``bulk_batched`` — one :func:`repro.cache.replay.replay_bulk` call
   evaluating the whole cell grid over one compiled trace;
 * ``bulk_percell`` — the same grid, one kernel invocation per cell
-  (what a naive per-configuration replay would cost);
-* ``bulk_streaming`` — the same grid off the running schedule with no
-  materialized trace (:func:`replay_bulk_streaming`); this includes
-  the schedule run itself, which is the memory-bounded configuration
-  the nightly order-1100 pipeline uses.
+  (what a naive per-configuration replay would cost).
 
 Memos are cleared inside each round so the rounds measure the passes,
 not the result cache.
@@ -71,13 +67,3 @@ def bench_bulk_percell(benchmark, grid_trace):
 
     assert len(benchmark(run)) == len(CELLS)
 
-
-def bench_bulk_streaming(benchmark):
-    """The same cells streamed off the schedule, no materialized trace."""
-
-    def run():
-        alg = get_algorithm("shared-opt")(MACHINE, ORDER, ORDER, ORDER)
-        stats, _ = replay.replay_bulk_streaming(alg, CELLS)
-        return stats
-
-    assert len(benchmark(run)) == len(CELLS)

@@ -25,7 +25,7 @@ mode-agnostic.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Callable, List, Set
 
 from repro.cache.block import MAT_SHIFT, key_name
 from repro.cache.cache import Cache
@@ -74,9 +74,17 @@ class LRUHierarchy:
         self.inclusive = inclusive
         self.shared = Cache("shared", cs, policy)
         self.distributed = [Cache(f"distributed[{c}]", cd, policy) for c in range(p)]
-        # The specialized fast path manipulates the LRU OrderedDicts
-        # directly; it is only valid for plain non-inclusive LRU.
+        #: Multiply-adds simulated per core through :attr:`compute`.
+        self.comp: List[int] = [0] * p
+        # The fused kernel manipulates the LRU OrderedDicts directly; it
+        # is only valid for plain non-inclusive LRU.
         self._fast = policy == "lru" and not inclusive
+        #: The per-FMA step kernel, ``(core, ckey, akey, bkey)`` in
+        #: :meth:`ExecutionContext.compute` order: the three references
+        #: of ``C += A·B`` plus one count in :attr:`comp`.
+        self.compute: Callable[[int, int, int, int], None] = (
+            self._fused_compute() if self._fast else self._generic_compute
+        )
 
     # ------------------------------------------------------------------
     # Generic (policy-agnostic) access path
@@ -105,40 +113,58 @@ class LRUHierarchy:
         return False
 
     def compute_touches(self, core: int, akey: int, bkey: int, ckey: int) -> None:
-        """The three references of one block multiply-add ``C += A·B``.
+        """The three references of one block multiply-add ``C += A·B``."""
+        self.compute(core, ckey, akey, bkey)
 
-        This is the innermost simulator operation.  When the hierarchy
-        runs plain non-inclusive LRU, the logic of :meth:`touch` is
-        inlined over the ``OrderedDict`` internals; tests assert that
-        this fast path and three :meth:`touch` calls produce identical
-        statistics.
+    def _generic_compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
+        self.touch(core, akey)
+        self.touch(core, bkey)
+        self.touch(core, ckey, write=True)
+        self.comp[core] += 1
+
+    def _fused_compute(self) -> Callable[[int, int, int, int], None]:
+        """Build the plain-LRU kernel: :meth:`touch` inlined over the
+        ``OrderedDict`` internals, in one call per multiply-add.
+
+        Everything the kernel reaches is bound once here.  Per call it
+        counts hits and misses in locals and adds them to the caches'
+        counters before returning, so the counters are live between
+        calls.  Tests assert that this kernel and three :meth:`touch`
+        calls produce identical counters and dirty sets.
         """
-        if not self._fast:
-            self.touch(core, akey)
-            self.touch(core, bkey)
-            self.touch(core, ckey, write=True)
-            return
-
-        dc = self.distributed[core]
-        ddata = dc.policy._data  # type: ignore[attr-defined]
-        dcap = dc.capacity
-        ddirty = dc.dirty
-        dmbm = dc.misses_by_matrix
+        per_core = [
+            (
+                dc,
+                dc.policy._data,  # type: ignore[attr-defined]
+                dc.policy._data.move_to_end,  # type: ignore[attr-defined]
+                dc.policy._data.popitem,  # type: ignore[attr-defined]
+                dc.dirty,
+                dc.misses_by_matrix,
+            )
+            for dc in self.distributed
+        ]
+        dcap = self.distributed[0].capacity
         sc = self.shared
         sdata = sc.policy._data  # type: ignore[attr-defined]
+        smove = sdata.move_to_end
+        spop = sdata.popitem
         scap = sc.capacity
         sdirty = sc.dirty
         smbm = sc.misses_by_matrix
+        comp = self.comp
 
-        for key in (akey, bkey, ckey):
-            if key in ddata:
-                ddata.move_to_end(key)
-                dc.hits += 1
-            else:
-                dc.misses += 1
+        def compute(core: int, ckey: int, akey: int, bkey: int) -> None:
+            dc, ddata, move, dpop, ddirty, dmbm = per_core[core]
+            misses = 0
+            shared_hits = 0
+            for key in (akey, bkey, ckey):
+                if key in ddata:
+                    move(key)
+                    continue
+                misses += 1
                 dmbm[key >> MAT_SHIFT] += 1
                 if len(ddata) >= dcap:
-                    victim = ddata.popitem(last=False)[0]
+                    victim = dpop(False)[0]
                     if victim in ddirty:
                         ddirty.discard(victim)
                         dc.writebacks += 1
@@ -147,18 +173,25 @@ class LRUHierarchy:
                 ddata[key] = None
                 # propagate to shared
                 if key in sdata:
-                    sdata.move_to_end(key)
-                    sc.hits += 1
-                else:
-                    sc.misses += 1
-                    smbm[key >> MAT_SHIFT] += 1
-                    if len(sdata) >= scap:
-                        s_victim = sdata.popitem(last=False)[0]
-                        if s_victim in sdirty:
-                            sdirty.discard(s_victim)
-                            sc.writebacks += 1
-                    sdata[key] = None
-        ddirty.add(ckey)
+                    smove(key)
+                    shared_hits += 1
+                    continue
+                sc.misses += 1
+                smbm[key >> MAT_SHIFT] += 1
+                if len(sdata) >= scap:
+                    s_victim = spop(False)[0]
+                    if s_victim in sdirty:
+                        sdirty.discard(s_victim)
+                        sc.writebacks += 1
+                sdata[key] = None
+            dc.hits += 3 - misses
+            if misses:
+                dc.misses += misses
+                sc.hits += shared_hits
+            ddirty.add(ckey)
+            comp[core] += 1
+
+        return compute
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -175,6 +208,7 @@ class LRUHierarchy:
         self.shared.reset()
         for dc in self.distributed:
             dc.reset()
+        self.comp[:] = [0] * self.p
 
     def check_inclusion(self) -> bool:
         """Whether every distributed-resident block is shared-resident."""

@@ -15,10 +15,13 @@ Replays are *exact*: every counter of the resulting
 :class:`~repro.cache.stats.HierarchyStats` (``ms``, ``md``, write-backs,
 per-matrix breakdowns) is bit-identical to the step simulator's, which
 the test suite proves across algorithms × policies × ragged shapes and
-with hypothesis-generated traces.  The step engine stays available as
-the oracle (``engine="step"`` in :func:`repro.sim.runner.run_experiment`).
+with hypothesis-generated traces.  The step engine is the default and
+the oracle (``engine="step"`` in :func:`repro.sim.runner.run_experiment`):
+a cold cell runs faster on it than through compile plus replay (see
+``docs/BENCHMARKS.md``), so replay is an explicit opt-in for work that
+reuses a trace.
 
-Where the speed comes from (measured, see ``docs/BENCHMARKS.md``):
+Where replay saves work:
 
 * the schedule runs **once** per (algorithm, declared machine, shape) —
   every additional setting/capacity/policy replays the memoized trace
@@ -53,7 +56,6 @@ caused it) to reproduce the dirty-victim → shared-copy propagation.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -385,7 +387,7 @@ class _SharedLRU:
 
 
 class _LRUPass:
-    """Streaming state of the batched LRU kernel.
+    """Chunk-incremental state of the batched LRU kernel.
 
     One bounded recency-stack pass over the global touch stream (bound =
     the largest ``CD``) serves every distributed capacity at once —
@@ -394,11 +396,9 @@ class _LRUPass:
     and each ``CD``'s shared level replays only its distributed-miss
     stream through one :class:`_SharedLRU` state per requested ``CS``.
 
-    The state is chunk-incremental on purpose: :meth:`process` consumes
-    one ``(k, 4)`` slice of the compute stream at a time, so the same
-    kernel serves materialized traces (:func:`_bulk_lru`) and the
-    streaming path (:func:`replay_bulk_streaming`), where the schedule
-    feeds chunks directly and the full trace never exists in memory.
+    :meth:`process` consumes one ``(k, 4)`` slice of the compute
+    stream at a time (:func:`_bulk_lru`), so intermediate arrays stay
+    bounded even on memmapped traces.
     """
 
     __slots__ = (
@@ -670,15 +670,14 @@ class _SharedFIFO:
 
 
 class _FIFOPass:
-    """Streaming state of the batched FIFO kernel for one ``CD``.
+    """Chunk-incremental state of the batched FIFO kernel for one ``CD``.
 
     One insertion-window pass over the touch stream (hits never mutate
     FIFO state: a key is resident iff its latest insertion is among the
     last ``cd`` misses, and miss ``M``'s victim is the key inserted at
     ``M - cd``); the dirty-victim marks and the distributed-miss stream
     feed one :class:`_SharedFIFO` per shared capacity.  Like
-    :class:`_LRUPass` the state is chunk-incremental, serving both the
-    materialized and the streaming replay paths.
+    :class:`_LRUPass` it consumes the trace one chunk at a time.
     """
 
     __slots__ = (
@@ -868,136 +867,6 @@ def replay_fifo(
     Thin wrapper over :func:`replay_bulk`.
     """
     return replay_bulk(trace, [("fifo", cs, cd) for cs, cd in configs])
-
-
-# ----------------------------------------------------------------------
-# Streaming replay (paper-scale traces that must never materialize)
-# ----------------------------------------------------------------------
-#: Above this many FMAs a compiled trace stops being materialized and
-#: the LRU/FIFO kernels stream directly off the running schedule
-#: (an order-1100 trace is 1.33e9 rows = ~40 GiB — far beyond CI
-#: runners).  Override with ``REPRO_STREAM_FMAS`` (positive int).
-STREAM_FMAS_DEFAULT = 64_000_000
-
-_STREAM_ENV = "REPRO_STREAM_FMAS"
-
-
-def stream_threshold() -> int:
-    """The FMA count above which replay streams instead of compiling."""
-    raw = os.environ.get(_STREAM_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{_STREAM_ENV} must be a positive integer, got {raw!r}"
-            )
-        if value <= 0:
-            raise ConfigurationError(
-                f"{_STREAM_ENV} must be a positive integer, got {raw!r}"
-            )
-        return value
-    return STREAM_FMAS_DEFAULT
-
-
-def should_stream(n_fmas: int) -> bool:
-    """Whether a schedule of ``n_fmas`` multiply-adds must stream."""
-    return n_fmas > stream_threshold()
-
-
-class _StreamRecorder(ExecutionContext):
-    """Compute-only context that feeds kernel passes chunk by chunk.
-
-    The schedule's compute stream is buffered into the same flat
-    ``array('q')`` layout as :class:`_Recorder`, but every
-    ``_CHUNK_FMAS`` rows the buffer is lowered to one ``(k, 4)`` array,
-    pushed through every attached pass and dropped — peak memory is one
-    chunk plus the passes' bounded state, independent of trace length.
-    IDEAL directives are ignored: streaming serves only the LRU/FIFO
-    kernels (IDEAL replay needs the whole timeline at once).
-    """
-
-    def __init__(self, p: int, passes: Sequence[Any]) -> None:
-        super().__init__(p)
-        self._passes = list(passes)
-        self._buf: "array[int]" = array("q")
-        self._rows = 0
-        self.n_fmas = 0
-
-    def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
-        self._buf.extend((core, akey, bkey, ckey))
-        self.comp[core] += 1
-        self.n_fmas += 1
-        self._rows += 1
-        if self._rows >= _CHUNK_FMAS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Push the buffered rows through every pass and reset the buffer."""
-        if not self._rows:
-            return
-        chunk = np.frombuffer(self._buf, dtype=np.int64).reshape(-1, 4)
-        for kernel in self._passes:
-            kernel.process(chunk)
-        self._buf = array("q")
-        self._rows = 0
-
-
-def replay_bulk_streaming(
-    algorithm: MatmulAlgorithm, cells: Sequence[Tuple[str, int, int]]
-) -> Tuple[List[HierarchyStats], List[int]]:
-    """Exact counters for many cells without materializing the trace.
-
-    Runs ``algorithm`` once against a chunk-flushing recorder that feeds
-    the same :class:`_LRUPass`/:class:`_FIFOPass` kernels as
-    :func:`replay_bulk`, so the counters are bit-identical to both the
-    materialized path and the step oracle — but peak memory is one
-    64Ki-row chunk plus the kernels' bounded state, which is what makes
-    the paper's order-1100 sweeps feasible on CI runners.  The price is
-    that nothing is retained: no trace, no memoization, every call
-    re-runs the schedule.  Returns ``(stats, comp)`` with ``stats`` in
-    input-cell order and ``comp`` the per-core multiply-add counts.
-    """
-    todo_lru: set[Tuple[int, int]] = set()
-    todo_fifo: set[Tuple[int, int]] = set()
-    for policy, cs, cd in cells:
-        if policy not in REPLAY_POLICIES:
-            raise ConfigurationError(
-                f"replay_bulk_streaming cannot replay policy {policy!r}; "
-                f"supported: {sorted(REPLAY_POLICIES)}"
-            )
-        if cs < 1 or cd < 1:
-            raise ConfigurationError(
-                f"capacities must be positive, got cs={cs} cd={cd}"
-            )
-        if policy == "fifo":
-            todo_fifo.add((cs, cd))
-        else:
-            todo_lru.add((cs, cd))
-
-    p = algorithm.machine.p
-    passes: List[Any] = []
-    if todo_lru:
-        passes.append(_LRUPass(p, sorted(todo_lru)))
-    fifo_by_cd: Dict[int, List[int]] = {}
-    for cs, cd in todo_fifo:
-        fifo_by_cd.setdefault(cd, []).append(cs)
-    for cd in sorted(fifo_by_cd):
-        passes.append(_FIFOPass(p, cd, sorted(set(fifo_by_cd[cd]))))
-
-    recorder = _StreamRecorder(p, passes)
-    algorithm.run(recorder)
-    recorder.flush()
-
-    computed: Dict[Tuple[str, int, int], HierarchyStats] = {}
-    for kernel in passes:
-        policy = "lru" if isinstance(kernel, _LRUPass) else "fifo"
-        for (cs, cd), stats in kernel.finalize().items():
-            computed[(policy, cs, cd)] = stats
-    out = [
-        _copy_stats(computed[(policy, cs, cd)]) for policy, cs, cd in cells
-    ]
-    return out, list(recorder.comp)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Engine-conformance analysis: where replay silently becomes step.
 
-:func:`repro.sim.runner.run_experiment` prefers the bulk replay engine
-and quietly interprets the schedule with the step oracle whenever the
-requested configuration is outside :func:`repro.cache.replay.supports`
-(checked IDEAL runs, inclusive hierarchies, associative/PLRU
-policies).  That fallback is bit-identical but *not free* — it is the
-slow path — and a user who asked for ``engine="replay"`` deserves to
+:func:`repro.sim.runner.run_experiment` runs the step engine unless a
+caller opts into ``engine="replay"``.  An opted-in call quietly
+interprets the schedule with the step oracle whenever the requested
+configuration is outside :func:`repro.cache.replay.supports` (checked
+IDEAL runs, inclusive hierarchies, associative/PLRU policies).  That
+fallback is bit-identical, but a user who asked for replay deserves to
 know statically which cells will not get it.
 
 Two passes, both pure static analysis:
@@ -19,10 +19,11 @@ Two passes, both pure static analysis:
 
 * :func:`scan_call_sites` parses the package, ``benchmarks/`` and
   ``examples/`` sources and flags every ``run_experiment``/sweep call
-  whose *literal* arguments pin an unsupported configuration without
-  opting out (``engine="step"``) or opting into strictness
-  (``strict_engine=True``).  Dynamic arguments are out of scope — the
-  pass proves what it flags.
+  that passes a literal ``engine="replay"`` and whose *literal*
+  arguments pin an unsupported configuration without opting into
+  strictness (``strict_engine=True``).  A call that omits ``engine=``
+  runs step and cannot fall back.  Dynamic arguments are out of
+  scope — the pass proves what it flags.
 
 Findings are warnings: the fallback is correct, just implicit.  The
 companion lint rule ``lint/fallback-telemetry``
@@ -146,8 +147,8 @@ def _classify_call(call: ast.Call) -> Optional[str]:
         k.arg: k.value for k in call.keywords if k.arg is not None
     }
     engine, engine_known = _literal(kw.get("engine"))
-    if "engine" in kw and (not engine_known or engine != "replay"):
-        return None  # explicit step engine, or dynamic — nothing silent
+    if not engine_known or engine != "replay":
+        return None  # default or explicit step engine, or dynamic
     strict, strict_known = _literal(kw.get("strict_engine"))
     if "strict_engine" in kw and (not strict_known or bool(strict)):
         return None  # strict mode raises instead of falling back

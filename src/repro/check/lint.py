@@ -60,8 +60,8 @@ analyzer families — :mod:`repro.check.determinism` on
 fingerprint-feeding modules and ``tests/``, :mod:`repro.check.purity`
 on the whole package — over the lint pass, applies inline
 ``# repro: noqa[rule-id]`` suppressions, raises
-``meta/unused-suppression`` for dead waivers, and scans files in
-parallel.  The lint rules themselves are purely syntactic
+``meta/unused-suppression`` for dead waivers, and scans files
+serially.  The lint rules themselves are purely syntactic
 (:mod:`ast`), need no imports of the linted code, and run over the
 whole package in well under a second.
 """
@@ -69,8 +69,6 @@ whole package in well under a second.
 from __future__ import annotations
 
 import ast
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -703,7 +701,6 @@ def run_lint(
     *,
     paths: Optional[Iterable[Path]] = None,
     config: Optional[RuleConfig] = None,
-    jobs: Optional[int] = None,
 ) -> List[Finding]:
     """The source scan over the :mod:`repro` package (or explicit files).
 
@@ -714,8 +711,9 @@ def run_lint(
     held to the same rules (e.g. ``nonatomic-artifact-write``) as the
     package's — and ``tests/`` gets the determinism hygiene pass.
 
-    Files are scanned in parallel (``jobs`` threads, default
-    ``min(8, cpu)``); output order is deterministic regardless.
+    Files are scanned serially, in path order.  Threads would not help
+    (``ast.parse`` holds the GIL) and are unsafe: CPython 3.11's AST
+    constructor races on its recursion counter across threads.
     """
     package_root: Optional[Path] = None
     if paths is None:
@@ -736,23 +734,13 @@ def run_lint(
     registered = _registered_names()
     cfg = config if config is not None else DEFAULT_CONFIG
 
-    def scan_one(path: Path) -> List[Finding]:
-        return scan_source(
+    findings: List[Finding] = []
+    for path in paths:
+        findings += scan_source(
             path.read_text(encoding="utf-8"),
             str(path),
             profile=_profile_for(path, package_root),
             registered=registered,
             config=cfg,
         )
-
-    todo = list(paths)
-    workers = jobs if jobs is not None else min(8, os.cpu_count() or 1)
-    findings: List[Finding] = []
-    if workers > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(scan_one, todo):
-                findings += batch
-    else:
-        for path in todo:
-            findings += scan_one(path)
     return findings

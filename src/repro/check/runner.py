@@ -321,7 +321,6 @@ def check_all(
 def source_scan(
     *,
     config: Optional["RuleConfig"] = None,
-    jobs: Optional[int] = None,
 ) -> Tuple[List[Finding], List[Finding]]:
     """The full static source pass, as the CLI and CI run it.
 
@@ -336,6 +335,6 @@ def source_scan(
     from repro.check.rules import DEFAULT_CONFIG, RuleConfig, filter_findings
 
     cfg = config if config is not None else DEFAULT_CONFIG
-    scan = run_lint(config=cfg, jobs=jobs)
+    scan = run_lint(config=cfg)
     engine = filter_findings(check_engine_model(), cfg)
     return scan, engine

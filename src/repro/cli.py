@@ -132,7 +132,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         check=args.check,
         inclusive=args.inclusive,
         policy=args.policy,
-        strict_engine=args.strict_engine,
     )
     print(render_rows([result.to_row()]))
     return 0
@@ -154,7 +153,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             machine,
             args.orders,
             policy=args.policy,
-            strict_engine=args.strict_engine,
             workers=args.workers,
             cell_timeout=args.cell_timeout,
             retries=args.retries,
@@ -171,7 +169,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             machine,
             args.orders,
             policy=args.policy,
-            strict_engine=args.strict_engine,
         )
     rows: List[Dict[str, Any]] = []
     for label, results in sweep.series.items():
@@ -277,7 +274,6 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
             workers=args.local,
             resume=args.resume,
             policy=args.policy,
-            strict_engine=args.strict_engine,
             lease_s=args.lease,
             retries=args.retries,
             backoff=args.backoff,
@@ -294,7 +290,6 @@ def _cmd_fabric_serve(args: argparse.Namespace) -> int:
         run_dir=args.run_dir,
         resume=args.resume,
         policy=args.policy,
-        strict_engine=args.strict_engine,
         lease_s=args.lease,
         retries=args.retries,
         backoff=args.backoff,
@@ -831,11 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--check", action="store_true", help="verify IDEAL mode")
     p_run.add_argument("--inclusive", action="store_true")
     p_run.add_argument("--policy", choices=("lru", "fifo"), default="lru")
-    p_run.add_argument(
-        "--strict-engine",
-        action="store_true",
-        help="fail instead of silently degrading replay to the step engine",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="square-order sweep")
@@ -846,11 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--setting", choices=sorted(SETTINGS), default="lru-50")
     p_sweep.add_argument("--policy", choices=("lru", "fifo"), default="lru")
-    p_sweep.add_argument(
-        "--strict-engine",
-        action="store_true",
-        help="fail instead of silently degrading replay to the step engine",
-    )
     engine = p_sweep.add_argument_group("parallel engine")
     engine.add_argument(
         "--workers",
@@ -1081,11 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--setting", choices=sorted(SETTINGS), default="lru-50")
     p_serve.add_argument("--policy", choices=("lru", "fifo"), default="lru")
-    p_serve.add_argument(
-        "--strict-engine",
-        action="store_true",
-        help="fail instead of silently degrading replay to the step engine",
-    )
     p_serve.add_argument(
         "--run-dir",
         required=True,

@@ -10,8 +10,8 @@ Scale note
 ----------
 The paper sweeps matrix orders up to 1100 blocks.  The default sweep
 stops at order 96 to stay interactive, but every function takes an
-``orders=`` / ``order=`` override, and the streaming bulk-replay
-kernels (:mod:`repro.cache.replay`) make the full axis reachable: the
+``orders=`` / ``order=`` override, and the memory-bounded step engine
+(the default of every sweep) makes the full axis reachable: the
 nightly ``full-figures`` CI pipeline regenerates Figs. 7–11 at order
 1100, sharding figures by panel (``panels_filter``) and fanning sweep
 cells over processes (``workers``).  All qualitative features of the

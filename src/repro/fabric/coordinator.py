@@ -801,7 +801,7 @@ def fabric_order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     strict_engine: bool = False,
     lease_s: float = 15.0,
     retries: int = 2,

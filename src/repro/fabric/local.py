@@ -106,7 +106,7 @@ def run_local_fabric(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     strict_engine: bool = False,
     lease_s: float = 5.0,
     retries: int = 2,

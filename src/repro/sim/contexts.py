@@ -29,12 +29,15 @@ class LRUContext(ExecutionContext):
     def __init__(self, hierarchy: LRUHierarchy) -> None:
         super().__init__(hierarchy.p)
         self.hierarchy = hierarchy
-        # Bound method caching shaves a dict lookup off the hot path.
-        self._touches = hierarchy.compute_touches
+        # One call per multiply-add: the hierarchy's step kernel does the
+        # three touches and counts the multiply-add in its ``comp``,
+        # which this context reports as its own.
+        self.comp = hierarchy.comp
+        self.compute = hierarchy.compute  # type: ignore[method-assign]
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
-        self._touches(core, akey, bkey, ckey)
-        self.comp[core] += 1
+        # Shadowed per instance by ``hierarchy.compute`` (see __init__).
+        self.hierarchy.compute(core, ckey, akey, bkey)
 
 
 class IdealContext(ExecutionContext):

@@ -1003,7 +1003,7 @@ def parallel_order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     strict_engine: bool = False,
     cell_timeout: Optional[float] = None,
     retries: int = 2,
@@ -1073,7 +1073,7 @@ def parallel_ratio_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     strict_engine: bool = False,
     cell_timeout: Optional[float] = None,
     retries: int = 2,

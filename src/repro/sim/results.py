@@ -48,10 +48,9 @@ class ExperimentResult:
     #: Replay-engine telemetry: which kernel evaluated the cell
     #: (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/``"step"``) and where
     #: its compiled trace came from (``"compiled"``/``"memory"``/
-    #: ``"disk"``, or ``"streamed"`` when the kernels ran off the live
-    #: schedule with no materialized trace).  Empty on step-engine
-    #: results predating the fields;
-    #: like ``engine``, never part of resume identity.
+    #: ``"disk"``).  Empty on step-engine results and on results
+    #: predating the fields; like ``engine``, never part of resume
+    #: identity.
     kernel: str = ""
     trace_source: str = ""
 

@@ -27,6 +27,12 @@ from repro.sim.settings import Setting, get_setting
 #: Valid values of ``run_experiment``'s ``engine`` parameter.
 ENGINES = ("replay", "step")
 
+#: Largest schedule (in multiply-adds) ``engine="replay"`` materializes.
+#: A compiled trace costs 32 bytes per FMA, so this caps it near 2 GB;
+#: larger cells (an order-1100 cell is 1.33e9 FMAs) fall back to the
+#: memory-bounded step engine.
+REPLAY_MAX_FMAS = 64_000_000
+
 logger = logging.getLogger(__name__)
 
 #: Fallback configurations already warned about (process-wide); sweeps
@@ -57,9 +63,11 @@ def note_engine_fallback(
         return
     _WARNED_FALLBACKS.add(key)
     logger.warning(
-        "replay engine does not cover setting=%r policy=%r inclusive=%r "
-        "check=%r; falling back to the step engine (pass strict_engine=True "
-        "to fail fast, or engine='step' to silence this warning)",
+        "replay engine cannot run setting=%r policy=%r inclusive=%r check=%r "
+        "(unsupported configuration, or a trace over REPLAY_MAX_FMAS "
+        "multiply-adds); falling back to the step engine (pass "
+        "strict_engine=True to fail fast, or engine='step' to silence this "
+        "warning)",
         setting_key,
         policy,
         inclusive,
@@ -79,7 +87,7 @@ def run_experiment(
     policy: str = "lru",
     inclusive: bool = False,
     verify_comp: bool = True,
-    engine: str = "replay",
+    engine: str = "step",
     strict_engine: bool = False,
     **alg_params: Any,
 ) -> ExperimentResult:
@@ -107,20 +115,19 @@ def run_experiment(
         multiply-adds (cheap sanity net; disable only in throughput
         measurements).
     engine:
-        ``"replay"`` (default) compiles the schedule's access trace
-        once (memoized across settings and repeated runs, see
-        :mod:`repro.cache.replay`) and replays it in bulk; counters are
-        bit-identical to ``"step"``, which interprets the schedule
-        reference-by-reference and remains the oracle.  Configurations
-        the replay engine does not cover (``check=True``, inclusive
-        hierarchies, associative/PLRU policies) use the step engine
-        instead — warned once per configuration and recorded on the
-        result (``engine_fallback``).  Past the streaming threshold
-        (``REPRO_STREAM_FMAS``) LRU/FIFO replays stream off the running
-        schedule instead of materializing the trace
-        (``trace_source="streamed"``), and IDEAL — whose vectorized
-        replay needs the whole timeline — falls back to the
-        memory-bounded step engine.
+        ``"step"`` (default) interprets the schedule reference by
+        reference against the hierarchy: memory-bounded at any order,
+        and the oracle every other path is tested against.
+        ``"replay"`` compiles the schedule's access trace once
+        (memoized across settings and repeated runs, see
+        :mod:`repro.cache.replay`) and replays it in bulk with
+        bit-identical counters; it pays off only where a trace is
+        reused (FIFO ablations, capacity curves, warm re-evaluation).
+        Configurations replay does not cover (``check=True``, inclusive
+        hierarchies, associative/PLRU policies) and traces past
+        :data:`REPLAY_MAX_FMAS` use the step engine instead — warned
+        once per configuration and recorded on the result
+        (``engine_fallback``).
     strict_engine:
         Raise :class:`~repro.exceptions.ConfigurationError` instead of
         falling back when ``engine="replay"`` cannot reproduce the
@@ -147,66 +154,37 @@ def run_experiment(
             "through MultiLevelContext)"
         )
 
-    replay_ok = replay_engine.supports(setting.mode, policy, inclusive, check)
-    # IDEAL replay is vectorized over the whole timeline and must
-    # materialize the trace; past the streaming threshold that is tens
-    # of gigabytes, so the (memory-bounded) step engine takes over.
-    stream = replay_engine.should_stream(m * n * z)
-    ideal_too_big = setting.is_ideal and stream
-    if engine == "replay" and replay_ok and ideal_too_big:
-        replay_ok = False
-        logger.warning(
-            "IDEAL replay of %s at m=%d n=%d z=%d would materialize a "
-            "%d-FMA trace (streaming threshold %d); using the "
-            "memory-bounded step engine",
-            alg.name,
-            m,
-            n,
-            z,
-            m * n * z,
-            replay_engine.stream_threshold(),
-        )
+    replay_ok = (
+        replay_engine.supports(setting.mode, policy, inclusive, check)
+        and m * n * z <= REPLAY_MAX_FMAS
+    )
     fallback = engine == "replay" and not replay_ok
-    if fallback and not ideal_too_big:
+    if fallback:
         if strict_engine:
             raise ConfigurationError(
                 f"engine='replay' cannot reproduce setting={setting.key!r} "
                 f"policy={policy!r} inclusive={inclusive!r} check={check!r} "
-                "and strict_engine=True forbids the step fallback; use "
-                "engine='step' explicitly"
+                f"at {m * n * z} FMAs and strict_engine=True forbids the "
+                "step fallback; use engine='step' explicitly"
             )
         note_engine_fallback(setting.key, policy, inclusive, check)
 
     if engine == "replay" and replay_ok:
         simulated = setting.simulated(machine)
         start = time.perf_counter()
-        if stream and not setting.is_ideal:
-            stats_list, comp = replay_engine.replay_bulk_streaming(
-                alg, [(policy, simulated.cs, simulated.cd)]
-            )
-            stats = stats_list[0]
-            kernel = f"bulk-{policy}"
-            trace_source = "streamed"
-            comp_total = sum(comp)
+        trace = replay_engine.compiled_trace_for(alg, directives=setting.is_ideal)
+        if setting.is_ideal:
+            stats = replay_engine.replay_ideal(trace)
+            kernel = "ideal"
         else:
-            trace = replay_engine.compiled_trace_for(
-                alg, directives=setting.is_ideal
-            )
-            if setting.is_ideal:
-                stats = replay_engine.replay_ideal(trace)
-                kernel = "ideal"
-            else:
-                stats = replay_engine.replay_bulk(
-                    trace, [(policy, simulated.cs, simulated.cd)]
-                )[0]
-                kernel = f"bulk-{policy}"
-            trace_source = trace.origin
-            comp = list(trace.comp)
-            comp_total = trace.comp_total
+            stats = replay_engine.replay_bulk(
+                trace, [(policy, simulated.cs, simulated.cd)]
+            )[0]
+            kernel = f"bulk-{policy}"
         elapsed = time.perf_counter() - start
-        if verify_comp and comp_total != m * n * z:
+        if verify_comp and trace.comp_total != m * n * z:
             raise ScheduleError(
-                f"{alg.name} emitted {comp_total} multiply-adds, "
+                f"{alg.name} emitted {trace.comp_total} multiply-adds, "
                 f"expected m*n*z = {m * n * z}"
             )
         predicted = predict(alg) if alg.name in FORMULAS else None
@@ -219,13 +197,13 @@ def run_experiment(
             z=z,
             parameters=alg.parameters(),
             stats=stats,
-            comp=comp,
+            comp=list(trace.comp),
             predicted=predicted,
             elapsed_s=elapsed,
             worker=os.getpid(),
             engine="replay",
             kernel=kernel,
-            trace_source=trace_source,
+            trace_source=trace.origin,
         )
 
     if setting.is_ideal:

@@ -131,19 +131,20 @@ def order_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     strict_engine: bool = False,
     workers: int = 0,
 ) -> SweepResult:
     """Run every (algorithm, setting) entry over square orders ``m=n=z``.
 
-    With ``engine="replay"`` (the default) entries that share a
-    schedule — same algorithm, parameters and *declared* machine, e.g.
-    the ``lru``/``lru-2x``/``ideal`` family — reuse one memoized
-    compiled trace per order instead of re-running the schedule per
-    setting (see :mod:`repro.cache.replay`).  A configuration replay
-    cannot reproduce is warned about once per sweep and falls back to
-    the step engine — or raises, with ``strict_engine=True``.
+    Every cell runs on the step engine unless ``engine="replay"`` is
+    requested.  Then entries that share a schedule — same algorithm,
+    parameters and *declared* machine, e.g. the ``lru``/``lru-2x``/
+    ``ideal`` family — reuse one memoized compiled trace per order
+    instead of re-running the schedule per setting (see
+    :mod:`repro.cache.replay`), and a configuration replay cannot
+    reproduce is warned about once per sweep and falls back to the
+    step engine — or raises, with ``strict_engine=True``.
 
     With ``workers > 1`` the (entry, order) cells fan out over a
     process pool, largest order first so the paper-scale cells never
@@ -217,7 +218,7 @@ def ratio_sweep(
     check: bool = False,
     inclusive: bool = False,
     policy: str = "lru",
-    engine: str = "replay",
+    engine: str = "step",
     strict_engine: bool = False,
 ) -> SweepResult:
     """Run entries over bandwidth ratios ``r = σS/(σS+σD)`` at fixed order.

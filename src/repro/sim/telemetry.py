@@ -65,9 +65,8 @@ class CellRecord:
     #: Replay-engine telemetry mirrored off the result: which kernel
     #: evaluated the cell (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/
     #: ``"step"``) and where its compiled trace came from
-    #: (``"compiled"``/``"memory"``/``"disk"``/``"streamed"``).  Empty
-    #: when unknown
-    #: (failed cells, manifests predating the fields).
+    #: (``"compiled"``/``"memory"``/``"disk"``).  Empty when unknown
+    #: (step-engine or failed cells, manifests predating the fields).
     kernel: str = ""
     trace_source: str = ""
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.cache.hierarchy import LRUHierarchy
 from repro.exceptions import ConfigurationError
+from repro.sim.contexts import LRUContext
 
 
 def ka(i, j=0):
@@ -151,8 +152,43 @@ class TestInclusiveMode:
         assert h.check_inclusion()
 
 
+def _run_both(fmas, p, cs, cd):
+    """Drive the fused kernel through LRUContext and, separately, the
+    reference: three generic touch() calls per multiply-add."""
+    fast = LRUHierarchy(p=p, cs=cs, cd=cd)
+    slow = LRUHierarchy(p=p, cs=cs, cd=cd)
+    assert fast._fast
+    ctx = LRUContext(fast)
+    assert ctx.compute is fast.compute
+    for core, akey, bkey, ckey in fmas:
+        ctx.compute(core, ckey, akey, bkey)
+        slow.touch(core, akey)
+        slow.touch(core, bkey)
+        slow.touch(core, ckey, write=True)
+    comp = [0] * p
+    for core, *_ in fmas:
+        comp[core] += 1
+    assert ctx.comp == comp
+    return fast, slow
+
+
+def _assert_identical(fast, slow):
+    fs, ss = fast.snapshot(), slow.snapshot()
+    # Every counter: hits, misses, write-backs and per-matrix splits at
+    # both levels.
+    assert fs == ss
+    # Write-back accounting and dirtiness must agree everywhere:
+    # shared write-backs only match if distributed dirty evictions
+    # propagate identically on both paths.
+    assert fast.shared.dirty == slow.shared.dirty
+    for fdc, sdc in zip(fast.distributed, slow.distributed):
+        assert fdc.dirty == sdc.dirty
+        assert list(fdc.policy) == list(sdc.policy)
+    assert list(fast.shared.policy) == list(slow.shared.policy)
+
+
 class TestFastPathEquivalence:
-    """compute_touches must equal three generic touch() calls."""
+    """The fused LRU kernel must equal three generic touch() calls."""
 
     @given(
         st.lists(
@@ -170,30 +206,27 @@ class TestFastPathEquivalence:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_generic_path(self, fmas, cd, cs):
-        fast = LRUHierarchy(p=2, cs=cs, cd=cd)
-        slow = LRUHierarchy(p=2, cs=cs, cd=cd)
-        assert fast._fast
-        for core, i, j, k in fmas:
-            fast.compute_touches(core, ka(i, k), kb(k, j), kc(i, j))
-            slow.touch(core, ka(i, k))
-            slow.touch(core, kb(k, j))
-            slow.touch(core, kc(i, j), write=True)
-        fs, ss = fast.snapshot(), slow.snapshot()
-        assert fs.ms == ss.ms
-        assert fs.md_per_core == ss.md_per_core
-        assert fs.shared.hits == ss.shared.hits
-        assert fs.shared.misses_by_matrix == ss.shared.misses_by_matrix
-        assert [c.writebacks for c in fs.distributed] == [
-            c.writebacks for c in ss.distributed
-        ]
-        # Write-back accounting and dirtiness must agree everywhere:
-        # shared write-backs only match if distributed dirty evictions
-        # propagate identically on both paths.
-        assert fs.shared.writebacks == ss.shared.writebacks
-        assert fast.shared.dirty == slow.shared.dirty
-        for fdc, sdc in zip(fast.distributed, slow.distributed):
-            assert fdc.dirty == sdc.dirty
-        assert set(fast.shared.policy) == set(slow.shared.policy)
+        stream = [(core, ka(i, k), kb(k, j), kc(i, j)) for core, i, j, k in fmas]
+        _assert_identical(*_run_both(stream, 2, cs, cd))
+
+    def test_writeback_cascade_matches_generic_path(self):
+        # At CS=2, CD=1 every C block leaves the distributed cache dirty
+        # while its shared copy is resident, and that dirty shared copy
+        # is later evicted: both write-back legs must fire.
+        stream = [(0, ka(0, i), kb(i), kc(i, i)) for i in range(4)]
+        fast, slow = _run_both(stream, 1, 2, 1)
+        _assert_identical(fast, slow)
+        stats = fast.snapshot()
+        assert stats.distributed[0].writebacks > 0
+        assert stats.shared.writebacks > 0
+        assert fast.distributed[0].dirty
+
+    def test_compute_touches_is_the_fused_kernel(self):
+        h = LRUHierarchy(p=1, cs=8, cd=3)
+        h.compute_touches(0, ka(0), kb(0), kc(0))
+        assert h.distributed[0].misses == 3
+        assert h.comp == [1]
+        assert h.distributed[0].dirty == {kc(0)}
 
     def test_fifo_uses_generic_path(self):
         h = LRUHierarchy(p=1, cs=8, cd=3, policy="fifo")

@@ -1,21 +1,19 @@
-"""Batched and streaming replay: bit-identity, batching, write-backs.
+"""Batched replay: bit-identity, batching, write-backs.
 
 :func:`repro.cache.replay.replay_bulk` evaluates many ``(policy, CS,
-CD)`` cells over one trace; :func:`replay_bulk_streaming` evaluates
-them off the running schedule with no materialized trace at all.  The
-contract of both is the same as the single-cell path: every counter is
-bit-identical to the step simulator.  These tests prove that property
-on hypothesis-generated cell *batches* (mixed policies and capacities
-over one shared pass), on the real algorithms at ragged shapes, and on
-a fixture designed so the dirty-victim write-back propagation path can
-never be silently lost (mutating it flips asserted-nonzero counters).
+CD)`` cells over one trace.  Its contract is the same as the
+single-cell path: every counter is bit-identical to the step simulator.
+These tests prove that property on hypothesis-generated cell *batches*
+(mixed policies and capacities over one shared pass), on the real
+algorithms at ragged shapes, and on a fixture designed so the
+dirty-victim write-back propagation path can never be silently lost
+(mutating it flips asserted-nonzero counters).
 """
 
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from repro.algorithms.registry import algorithm_names, get_algorithm
-from repro.cache import replay
 from repro.cache.block import MAT_A, MAT_B, MAT_C, block_key
 from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.replay import (
@@ -23,11 +21,7 @@ from repro.cache.replay import (
     clear_trace_cache,
     compile_trace,
     replay_bulk,
-    replay_bulk_streaming,
-    should_stream,
-    stream_threshold,
 )
-from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
 
 MACHINE = PRESETS["q32"]
@@ -119,56 +113,6 @@ class TestBatchedBitIdentity:
             )
 
 
-class TestStreaming:
-    @pytest.mark.parametrize("algorithm", algorithm_names())
-    def test_streaming_equals_bulk(self, algorithm):
-        """Chunk-fed passes produce the materialized path's counters."""
-        cells = [
-            (policy, cs, cd)
-            for policy in ("lru", "fifo")
-            for cs in (2, 16)
-            for cd in (1, 6)
-        ]
-        alg = get_algorithm(algorithm)(MACHINE, 7, 5, 9)
-        trace = compile_trace(alg, directives=False)
-        want = replay_bulk(trace, cells)
-        got, comp = replay_bulk_streaming(
-            get_algorithm(algorithm)(MACHINE, 7, 5, 9), cells
-        )
-        assert got == want
-        assert comp == list(trace.comp)
-
-    def test_streaming_crosses_chunk_boundaries(self, monkeypatch):
-        """Kernel state carries across flushes (tiny chunk size)."""
-        monkeypatch.setattr(replay, "_CHUNK_FMAS", 7)
-        cells = [("lru", 8, 3), ("fifo", 8, 3)]
-        alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
-        got, _ = replay_bulk_streaming(alg, cells)
-        trace = compile_trace(
-            get_algorithm("shared-opt")(MACHINE, 6, 6, 6), directives=False
-        )
-        assert got == replay_bulk(trace, cells)
-
-    def test_streaming_rejects_unsupported_policy(self):
-        alg = get_algorithm("shared-opt")(MACHINE, 4, 4, 4)
-        with pytest.raises(ConfigurationError, match="policy"):
-            replay_bulk_streaming(alg, [("plru", 8, 3)])
-        with pytest.raises(ConfigurationError, match="positive"):
-            replay_bulk_streaming(alg, [("lru", 0, 3)])
-
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "123")
-        assert stream_threshold() == 123
-        assert should_stream(124)
-        assert not should_stream(123)
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "nope")
-        with pytest.raises(ConfigurationError, match="REPRO_STREAM_FMAS"):
-            stream_threshold()
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "-5")
-        with pytest.raises(ConfigurationError, match="REPRO_STREAM_FMAS"):
-            stream_threshold()
-
-
 # ----------------------------------------------------------------------
 # Dirty-victim write-back coverage (mutation fixture)
 # ----------------------------------------------------------------------
@@ -199,22 +143,3 @@ class TestDirtyVictimCoverage:
         # workload with zero write-backs would vacuously "match".
         assert got.distributed[0].writebacks > 0
         assert got.shared.writebacks > 0
-
-    @pytest.mark.parametrize("policy", ["lru", "fifo"])
-    def test_writeback_coverage_survives_streaming(self, policy):
-        """The streamed kernels walk the same propagation path."""
-        p = 1
-        trace = CompiledTrace(p, _WB_FMAS, [len(_WB_FMAS)], None)
-        want = replay_bulk(trace, [(policy, 2, 1)])[0]
-
-        class _FixtureAlg:
-            class machine:  # noqa: N801 - duck-typed attribute access
-                p = 1
-
-            def run(self, ctx):
-                for core, akey, bkey, ckey in _WB_FMAS:
-                    ctx.compute(core, ckey, akey, bkey)
-
-        got, comp = replay_bulk_streaming(_FixtureAlg(), [(policy, 2, 1)])
-        assert got[0] == want
-        assert comp == [len(_WB_FMAS)]

@@ -51,7 +51,7 @@ class TestCallSiteScan:
         found = scan_snippet(
             tmp_path,
             "run_experiment('shared-opt', m, 8, 8, 8, 'lru-50',"
-            " policy='assoc8')\n",
+            " policy='assoc8', engine='replay')\n",
         )
         assert len(found) == 1
         assert found[0].rule_id == "engine/silent-fallback"
@@ -61,7 +61,8 @@ class TestCallSiteScan:
     def test_checked_ideal_run_flagged(self, tmp_path):
         found = scan_snippet(
             tmp_path,
-            "run_experiment('shared-opt', m, 8, 8, 8, 'ideal', check=True)\n",
+            "run_experiment('shared-opt', m, 8, 8, 8, 'ideal', check=True,"
+            " engine='replay')\n",
         )
         assert len(found) == 1
         assert "check=True" in found[0].message
@@ -69,8 +70,10 @@ class TestCallSiteScan:
     def test_positional_setting_understood(self, tmp_path):
         found = scan_snippet(
             tmp_path,
-            "run_experiment('shared-opt', m, 8, 8, 8, 'ideal', check=True)\n"
-            "run_experiment('shared-opt', m, 8, 8, 8, 'lru-50', check=True)\n",
+            "run_experiment('shared-opt', m, 8, 8, 8, 'ideal', check=True,"
+            " engine='replay')\n"
+            "run_experiment('shared-opt', m, 8, 8, 8, 'lru-50', check=True,"
+            " engine='replay')\n",
         )
         # LRU-mode replay ignores check: only the IDEAL line falls back.
         assert len(found) == 1
@@ -87,20 +90,22 @@ class TestCallSiteScan:
         assert scan_snippet(
             tmp_path,
             "run_experiment('a', m, 8, 8, 8, 'lru', policy='assoc8',"
-            " strict_engine=True)\n",
+            " engine='replay', strict_engine=True)\n",
         ) == []
 
     def test_dynamic_arguments_out_of_scope(self, tmp_path):
         assert scan_snippet(
             tmp_path,
             "for policy in POLICIES:\n"
-            "    run_experiment('a', m, 8, 8, 8, 'lru', policy=policy)\n",
+            "    run_experiment('a', m, 8, 8, 8, 'lru', policy=policy,"
+            " engine='replay')\n",
         ) == []
 
     def test_sweep_with_inclusive_flagged(self, tmp_path):
         found = scan_snippet(
             tmp_path,
-            "order_sweep(entries, machine, orders, inclusive=True)\n",
+            "order_sweep(entries, machine, orders, inclusive=True,"
+            " engine='replay')\n",
         )
         assert len(found) == 1
         assert "inclusive=True" in found[0].message
@@ -108,20 +113,31 @@ class TestCallSiteScan:
     def test_parallel_sweep_with_unsupported_policy_flagged(self, tmp_path):
         found = scan_snippet(
             tmp_path,
-            "parallel_order_sweep(entries, machine, orders, policy='plru')\n",
+            "parallel_order_sweep(entries, machine, orders, policy='plru',"
+            " engine='replay')\n",
         )
         assert len(found) == 1
 
     def test_supported_sweep_clean(self, tmp_path):
         assert scan_snippet(
             tmp_path,
-            "order_sweep(entries, machine, orders, policy='fifo')\n",
+            "order_sweep(entries, machine, orders, policy='fifo',"
+            " engine='replay')\n",
         ) == []
 
     def test_unrelated_calls_ignored(self, tmp_path):
         assert scan_snippet(
             tmp_path, "configure(policy='assoc8', inclusive=True)\n"
         ) == []
+
+    def test_default_engine_cannot_fall_back(self, tmp_path):
+        # Omitting engine= runs step, so only the explicit replay
+        # request is a silent fallback.
+        call = "run_experiment('shared-opt', m, 8, 8, 8, 'lru', inclusive=True"
+        assert scan_snippet(tmp_path, call + ")\n") == []
+        found = scan_snippet(tmp_path, call + ", engine='replay')\n")
+        assert len(found) == 1
+        assert "inclusive=True" in found[0].message
 
     def test_syntax_errors_left_to_lint(self, tmp_path):
         assert scan_snippet(tmp_path, "def broken(:\n") == []

@@ -5,10 +5,11 @@ import logging
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.fabric.local import run_local_fabric
 from repro.model.machine import MulticoreMachine
 from repro.sim.parallel import parallel_order_sweep
 from repro.sim.runner import reset_fallback_warnings, run_experiment
-from repro.sim.sweep import order_sweep
+from repro.sim.sweep import order_sweep, ratio_sweep
 from repro.store.serde import result_from_dict, result_to_dict
 
 # Power-of-two cache sizes so the 'plru' ablation policy is valid.
@@ -26,17 +27,39 @@ def fallback_warnings(caplog):
     return [r for r in caplog.records if "falling back" in r.getMessage()]
 
 
+class TestDefaultEngine:
+    def test_every_entry_point_defaults_to_step(self, tmp_path):
+        entries = [("shared-opt", "lru"), ("shared-opt", "ideal")]
+        results = [
+            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru"),
+            run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal"),
+        ]
+        for sweep in (
+            order_sweep(entries, MACHINE, [4]),
+            ratio_sweep(entries, MACHINE, [0.5], 4),
+            parallel_order_sweep(entries, MACHINE, [4], workers=1),
+            run_local_fabric(entries, MACHINE, [4], run_dir=tmp_path / "run"),
+        ):
+            for label in sweep.labels():
+                results += sweep.series[label]
+        assert len(results) == 10
+        for result in results:
+            assert result.engine == "step"
+            assert result.kernel == "step"
+            assert result.engine_fallback is False
+
+
 class TestRunExperimentFallback:
     def test_unsupported_config_falls_back_to_step(self):
         result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True
+            "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True, engine="replay"
         )
         assert result.engine == "step"
         assert result.engine_fallback
 
     def test_supported_config_stays_on_replay_even_when_strict(self):
         result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru", strict_engine=True
+            "shared-opt", MACHINE, 4, 4, 4, "lru", engine="replay", strict_engine=True
         )
         assert result.engine == "replay"
         assert not result.engine_fallback
@@ -58,12 +81,13 @@ class TestRunExperimentFallback:
                 4,
                 "ideal",
                 check=True,
+                engine="replay",
                 strict_engine=True,
             )
 
     def test_fallback_is_bit_identical_to_explicit_step(self):
         via_fallback = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru", policy="plru"
+            "shared-opt", MACHINE, 4, 4, 4, "lru", policy="plru", engine="replay"
         )
         explicit = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "lru", policy="plru", engine="step"
@@ -75,23 +99,35 @@ class TestRunExperimentFallback:
 class TestWarnOnce:
     def test_repeated_configuration_warns_once(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
-            run_experiment("shared-opt", MACHINE, 6, 6, 6, "lru", inclusive=True)
+            run_experiment(
+                "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True, engine="replay"
+            )
+            run_experiment(
+                "shared-opt", MACHINE, 6, 6, 6, "lru", inclusive=True, engine="replay"
+            )
         warned = fallback_warnings(caplog)
         assert len(warned) == 1
         assert "strict_engine=True" in warned[0].getMessage()
 
     def test_distinct_configurations_each_warn(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", policy="plru")
+            run_experiment(
+                "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True, engine="replay"
+            )
+            run_experiment(
+                "shared-opt", MACHINE, 4, 4, 4, "lru", policy="plru", engine="replay"
+            )
         assert len(fallback_warnings(caplog)) == 2
 
     def test_reset_rearms_the_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
+            run_experiment(
+                "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True, engine="replay"
+            )
             reset_fallback_warnings()
-            run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True)
+            run_experiment(
+                "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True, engine="replay"
+            )
         assert len(fallback_warnings(caplog)) == 2
 
 
@@ -101,7 +137,7 @@ class TestSweeps:
         # configuration: exactly one warning for the whole sweep.
         entries = [("shared-opt", "lru"), ("outer-product", "lru")]
         with caplog.at_level(logging.WARNING, logger="repro.sim.runner"):
-            order_sweep(entries, MACHINE, [4, 8], inclusive=True)
+            order_sweep(entries, MACHINE, [4, 8], inclusive=True, engine="replay")
         assert len(fallback_warnings(caplog)) == 1
 
     def test_order_sweep_strict_engine_raises(self):
@@ -111,12 +147,18 @@ class TestSweeps:
                 MACHINE,
                 [4],
                 inclusive=True,
+                engine="replay",
                 strict_engine=True,
             )
 
     def test_parallel_sweep_counts_fallbacks_in_manifest(self):
         sweep = parallel_order_sweep(
-            [("shared-opt", "lru")], MACHINE, [4, 8], policy="plru", workers=2
+            [("shared-opt", "lru")],
+            MACHINE,
+            [4, 8],
+            policy="plru",
+            engine="replay",
+            workers=2,
         )
         manifest = sweep.manifest
         assert manifest is not None
@@ -137,7 +179,7 @@ class TestSweeps:
 class TestSerde:
     def test_engine_telemetry_round_trips(self):
         result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True
+            "shared-opt", MACHINE, 4, 4, 4, "lru", inclusive=True, engine="replay"
         )
         again = result_from_dict(result_to_dict(result))
         assert again.engine == "step"

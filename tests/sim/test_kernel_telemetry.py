@@ -2,16 +2,18 @@
 
 ``ExperimentResult.kernel`` names the evaluation path (``bulk-lru``,
 ``bulk-fifo``, ``ideal``, ``step``) and ``trace_source`` where the
-compiled trace came from (``compiled``/``memory``/``disk``/
-``streamed``).  These tests pin the values across engines and the
-streaming threshold, their serde round-trip (including legacy payloads
-without the fields), and their mirroring onto sweep manifests.
+compiled trace came from (``compiled``/``memory``/``disk``).  These
+tests pin the values across engines and the replay size limit, their
+serde round-trip (including legacy payloads without the fields), and
+their mirroring onto sweep manifests.
 """
 
 import pytest
 
 from repro.cache.replay import clear_trace_cache, configure_trace_tier, trace_tier_root
+from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
+from repro.sim import runner
 from repro.sim.runner import reset_fallback_warnings, run_experiment
 from repro.sim.telemetry import CellRecord
 from repro.store.serde import result_from_dict, result_to_dict
@@ -36,25 +38,45 @@ def _fresh_state():
 
 class TestRunnerTelemetry:
     def test_lru_replay_reports_bulk_kernel(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+        )
         assert result.kernel == "bulk-lru"
         assert result.trace_source == "compiled"
 
     def test_fifo_replay_reports_bulk_kernel(self):
         result = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", policy="fifo"
+            "shared-opt",
+            MACHINE,
+            4,
+            4,
+            4,
+            "lru-50",
+            policy="fifo",
+            engine="replay",
         )
         assert result.kernel == "bulk-fifo"
 
     def test_memoized_trace_reports_memory_source(self):
-        run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+        )
         warm = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", policy="fifo"
+            "shared-opt",
+            MACHINE,
+            4,
+            4,
+            4,
+            "lru-50",
+            policy="fifo",
+            engine="replay",
         )
         assert warm.trace_source == "memory"
 
     def test_ideal_replay_reports_ideal_kernel(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="replay"
+        )
         assert result.kernel == "ideal"
 
     def test_step_engine_reports_step_kernel(self):
@@ -65,37 +87,49 @@ class TestRunnerTelemetry:
         assert result.trace_source == ""
 
 
-class TestStreamingThreshold:
-    def test_large_lru_cell_streams(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "10")
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
-        assert result.kernel == "bulk-lru"
-        assert result.trace_source == "streamed"
+class TestReplaySizeLimit:
+    @pytest.mark.parametrize("setting", ["lru-50", "ideal"])
+    def test_oversized_replay_falls_back_to_step(self, monkeypatch, setting):
+        monkeypatch.setattr(runner, "REPLAY_MAX_FMAS", 10)
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, setting, engine="replay"
+        )
+        assert result.engine == "step"
+        assert result.kernel == "step"
+        assert result.engine_fallback
         baseline = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="step"
+            "shared-opt", MACHINE, 4, 4, 4, setting, engine="step"
         )
         assert result.stats == baseline.stats
 
-    def test_large_ideal_cell_falls_back_to_step(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_FMAS", "10")
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "ideal")
-        assert result.engine == "step"
-        assert result.engine_fallback
-        baseline = run_experiment(
-            "shared-opt", MACHINE, 4, 4, 4, "ideal", engine="step"
-        )
-        assert result.stats == baseline.stats
+    def test_oversized_replay_raises_when_strict(self, monkeypatch):
+        monkeypatch.setattr(runner, "REPLAY_MAX_FMAS", 10)
+        with pytest.raises(ConfigurationError, match="strict_engine"):
+            run_experiment(
+                "shared-opt",
+                MACHINE,
+                4,
+                4,
+                4,
+                "lru-50",
+                engine="replay",
+                strict_engine=True,
+            )
 
 
 class TestSerde:
     def test_kernel_telemetry_round_trips(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+        )
         again = result_from_dict(result_to_dict(result))
         assert again.kernel == "bulk-lru"
         assert again.trace_source == "compiled"
 
     def test_legacy_payload_defaults_to_empty(self):
-        result = run_experiment("shared-opt", MACHINE, 4, 4, 4, "lru-50")
+        result = run_experiment(
+            "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="replay"
+        )
         payload = result_to_dict(result)
         payload.pop("kernel", None)
         payload.pop("trace_source", None)

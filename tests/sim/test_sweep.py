@@ -182,14 +182,16 @@ class TestResolveEntries:
 class TestEngineKnob:
     def test_order_sweep_engines_agree(self, quad):
         entries = [("shared-opt", "lru"), ("shared-opt", "ideal")]
-        rep = order_sweep(entries, quad, [4, 6])
+        rep = order_sweep(entries, quad, [4, 6], engine="replay")
         step = order_sweep(entries, quad, [4, 6], engine="step")
         for label in rep.labels():
             for a, b in zip(rep.series[label], step.series[label]):
                 assert a.stats == b.stats
 
     def test_ratio_sweep_engines_agree(self, quad):
-        rep = ratio_sweep([("tradeoff", "lru")], quad, [0.3, 0.7], order=8)
+        rep = ratio_sweep(
+            [("tradeoff", "lru")], quad, [0.3, 0.7], order=8, engine="replay"
+        )
         step = ratio_sweep(
             [("tradeoff", "lru")], quad, [0.3, 0.7], order=8, engine="step"
         )

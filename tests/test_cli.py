@@ -387,23 +387,6 @@ class TestCheck:
         assert "gap certificate:" in out
 
 
-class TestStrictEngine:
-    def test_run_strict_engine_rejects_fallback(self, capsys):
-        code = main(
-            ["run", "shared-opt", "-m", "4", "--preset", "q32",
-             "--setting", "ideal", "--check", "--strict-engine"]
-        )
-        assert code == 2
-        assert "strict_engine" in capsys.readouterr().err
-
-    def test_run_strict_engine_accepts_supported(self, capsys):
-        code = main(
-            ["run", "shared-opt", "-m", "4", "--preset", "q32",
-             "--setting", "lru-50", "--strict-engine"]
-        )
-        assert code == 0
-
-
 class TestLU:
     def test_lu_counts(self, capsys):
         assert main(["lu", "--preset", "q32", "-n", "12"]) == 0
