@@ -18,6 +18,14 @@ directives in ``if ctx.explicit`` so the (very hot) LRU and numeric
 paths don't pay for directive no-op calls.  ``compute`` is always
 emitted.  Per-core compute counters live in the context because the
 communication-to-computation ratios of the paper normalize by them.
+
+Schedules emit their innermost loop a row at a time:
+:meth:`ExecutionContext.compute_row` (one ``A`` element times a row
+fragment of ``B`` into a row fragment of ``C``) and, for the IDEAL
+per-block streaming pattern, :meth:`ExecutionContext.stream_row`
+(itself a directive-bearing call, so guarded by ``if ctx.explicit``).
+The defaults expand to the exact per-block operation sequence; the
+counting contexts override them to run a whole row per call.
 """
 
 from __future__ import annotations
@@ -72,6 +80,60 @@ class ExecutionContext(ABC):
     @abstractmethod
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
         """One elementary block multiply-add ``C[c] += A[a] · B[b]``."""
+
+    # -- row operations (defaults expand to the per-block sequence) ----
+    def compute_row(
+        self, core: int, akey: int, crow: int, brow: int, cols: range
+    ) -> None:
+        """``compute(core, crow | j, akey, brow | j)`` for ``j`` in ``cols``.
+
+        One row of a micro-kernel: the element ``akey`` of ``A`` times a
+        row fragment of ``B`` (keys ``brow | j``) accumulated into a row
+        fragment of ``C`` (keys ``crow | j``).  Counting contexts override
+        this with one call per row; the default keeps every other
+        context's operation sequence exactly as per-block emission.
+        """
+        compute = self.compute
+        for j in cols:
+            compute(core, crow | j, akey, brow | j)
+
+    def stream_row(
+        self,
+        core: int,
+        akey: int,
+        crow: int,
+        brow: int,
+        cols: range,
+        shared: bool = False,
+    ) -> None:
+        """:meth:`compute_row` with the IDEAL streaming directives.
+
+        Per ``j``: load ``B`` and ``C`` blocks into ``core``'s cache,
+        compute, evict both.  With ``shared=True`` each block is also
+        loaded into (before) and evicted from (after) the shared cache,
+        as the cache-oblivious Outer Product and Cannon schedules do.
+        ``akey`` must already be resident: the row does not load it.  A
+        context that ignores directives just computes the row.
+        """
+        if self.explicit:
+            compute = self.compute
+            for j in cols:
+                kb = brow | j
+                kc = crow | j
+                if shared:
+                    self.load_shared(kb)
+                self.load_dist(core, kb)
+                if shared:
+                    self.load_shared(kc)
+                self.load_dist(core, kc)
+                compute(core, kc, akey, kb)
+                self.evict_dist(core, kb)
+                self.evict_dist(core, kc)
+                if shared:
+                    self.evict_shared(kb)
+                    self.evict_shared(kc)
+        else:
+            self.compute_row(core, akey, crow, brow, cols)
 
     def count_compute(self, core: int) -> None:
         """Bump the per-core compute counter (helper for subclasses)."""

@@ -47,7 +47,7 @@ class Cannon(MatmulAlgorithm):
     def run(self, ctx: ExecutionContext) -> None:
         s = self.grid
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
         row_chunks = self.split_evenly(0, self.m, s)
         col_chunks = self.split_evenly(0, self.n, s)
@@ -66,20 +66,8 @@ class Cannon(MatmulAlgorithm):
                         if explicit:
                             ctx.load_shared(ka)
                             ctx.load_dist(core, ka)
-                            for j in cols:
-                                kb = brow | j
-                                kc = crow | j
-                                ctx.load_shared(kb)
-                                ctx.load_dist(core, kb)
-                                ctx.load_shared(kc)
-                                ctx.load_dist(core, kc)
-                                compute(core, kc, ka, kb)
-                                ctx.evict_dist(core, kb)
-                                ctx.evict_dist(core, kc)
-                                ctx.evict_shared(kb)
-                                ctx.evict_shared(kc)
+                            ctx.stream_row(core, ka, crow, brow, cols, shared=True)
                             ctx.evict_dist(core, ka)
                             ctx.evict_shared(ka)
                         else:
-                            for j in cols:
-                                compute(core, crow | j, ka, brow | j)
+                            compute_row(core, ka, crow, brow, cols)

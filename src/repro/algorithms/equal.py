@@ -75,7 +75,7 @@ class SharedEqual(MatmulAlgorithm):
         m, n, z = self.m, self.n, self.z
         t = self.t
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
         for i0 in range(0, m, t):
@@ -88,6 +88,7 @@ class SharedEqual(MatmulAlgorithm):
                         for j in range(j0, wj):
                             ctx.load_shared(crow | j)
                 chunks = self.split_evenly(i0, hi, p)
+                cols = range(j0, wj)
                 for k0 in range(0, z, t):
                     kh = min(k0 + t, z)
                     if explicit:
@@ -110,18 +111,10 @@ class SharedEqual(MatmulAlgorithm):
                                 brow = B_BASE | (k << RS)
                                 if explicit:
                                     ctx.load_dist(core, ka)
-                                    for j in range(j0, wj):
-                                        kb = brow | j
-                                        kc = crow | j
-                                        ctx.load_dist(core, kb)
-                                        ctx.load_dist(core, kc)
-                                        compute(core, kc, ka, kb)
-                                        ctx.evict_dist(core, kb)
-                                        ctx.evict_dist(core, kc)
+                                    ctx.stream_row(core, ka, crow, brow, cols)
                                     ctx.evict_dist(core, ka)
                                 else:
-                                    for j in range(j0, wj):
-                                        compute(core, crow | j, ka, brow | j)
+                                    compute_row(core, ka, crow, brow, cols)
                     if explicit:
                         for i in range(i0, hi):
                             arow = A_BASE | (i << RS)
@@ -173,7 +166,7 @@ class DistributedEqual(MatmulAlgorithm):
         m, n, z = self.m, self.n, self.z
         t = self.t
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
         # Round-robin deal of C tiles to cores.
@@ -218,14 +211,12 @@ class DistributedEqual(MatmulAlgorithm):
                                     ctx.load_shared(key)
                                 ctx.load_dist(core, key)
                 for core, (i0, hi, j0, wj) in enumerate(round_tiles):
+                    cols = range(j0, wj)
                     for i in range(i0, hi):
                         crow = C_BASE | (i << RS)
                         arow = A_BASE | (i << RS)
                         for k in range(k0, kh):
-                            ka = arow | k
-                            brow = B_BASE | (k << RS)
-                            for j in range(j0, wj):
-                                compute(core, crow | j, ka, brow | j)
+                            compute_row(core, arow | k, crow, B_BASE | (k << RS), cols)
                 if explicit:
                     for core, (i0, hi, j0, wj) in enumerate(round_tiles):
                         for i in range(i0, hi):

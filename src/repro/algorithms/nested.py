@@ -170,7 +170,7 @@ class NestedMaxReuse(MatmulAlgorithm):
     def run(self, ctx: ExecutionContext) -> None:
         m, n, z = self.m, self.n, self.z
         mu, tile = self.mu, self.tile
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         RS = ROW_SHIFT
 
         for i0 in range(0, m, tile):
@@ -191,8 +191,7 @@ class NestedMaxReuse(MatmulAlgorithm):
                 for k in range(z):
                     brow = B_BASE | (k << RS)
                     for core, rlo, rhi, clo, chi in blocks:
+                        cols = range(clo, chi)
                         for i in range(rlo, rhi):
                             ka = A_BASE | (i << RS) | k
-                            crow = C_BASE | (i << RS)
-                            for j in range(clo, chi):
-                                compute(core, crow | j, ka, brow | j)
+                            compute_row(core, ka, C_BASE | (i << RS), brow, cols)

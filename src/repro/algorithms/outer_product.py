@@ -59,33 +59,22 @@ class OuterProduct(MatmulAlgorithm):
     def run(self, ctx: ExecutionContext) -> None:
         z = self.z
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         tiles = self._tiles()
         RS = ROW_SHIFT
 
         for k in range(z):
             brow = B_BASE | (k << RS)
             for core, (rlo, rhi, clo, chi) in enumerate(tiles):
+                cols = range(clo, chi)
                 for i in range(rlo, rhi):
                     ka = A_BASE | (i << RS) | k
                     crow = C_BASE | (i << RS)
                     if explicit:
                         ctx.load_shared(ka)
                         ctx.load_dist(core, ka)
-                        for j in range(clo, chi):
-                            kb = brow | j
-                            kc = crow | j
-                            ctx.load_shared(kb)
-                            ctx.load_dist(core, kb)
-                            ctx.load_shared(kc)
-                            ctx.load_dist(core, kc)
-                            compute(core, kc, ka, kb)
-                            ctx.evict_dist(core, kb)
-                            ctx.evict_dist(core, kc)
-                            ctx.evict_shared(kb)
-                            ctx.evict_shared(kc)
+                        ctx.stream_row(core, ka, crow, brow, cols, shared=True)
                         ctx.evict_dist(core, ka)
                         ctx.evict_shared(ka)
                     else:
-                        for j in range(clo, chi):
-                            compute(core, crow | j, ka, brow | j)
+                        compute_row(core, ka, crow, brow, cols)

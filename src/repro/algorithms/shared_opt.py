@@ -78,7 +78,7 @@ class SharedOpt(MatmulAlgorithm):
         m, n, z = self.m, self.n, self.z
         lam = self.lam
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         split = self.split_evenly
         RS = ROW_SHIFT
 
@@ -109,18 +109,10 @@ class SharedOpt(MatmulAlgorithm):
                                 continue
                             if explicit:
                                 ctx.load_dist(core, ka)
-                                for j in chunk:
-                                    kb = brow | j
-                                    kc = crow | j
-                                    ctx.load_dist(core, kb)
-                                    ctx.load_dist(core, kc)
-                                    compute(core, kc, ka, kb)
-                                    ctx.evict_dist(core, kb)
-                                    ctx.evict_dist(core, kc)
+                                ctx.stream_row(core, ka, crow, brow, chunk)
                                 ctx.evict_dist(core, ka)
                             else:
-                                for j in chunk:
-                                    compute(core, crow | j, ka, brow | j)
+                                compute_row(core, ka, crow, brow, chunk)
                         if explicit:
                             ctx.evict_shared(ka)
                     if explicit:

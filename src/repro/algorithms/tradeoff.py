@@ -108,7 +108,7 @@ class Tradeoff(MatmulAlgorithm):
         alpha, beta, mu, s = self.alpha, self.beta, self.mu, self.grid
         region = alpha // s  # side of each core's contiguous C region
         explicit = ctx.explicit
-        compute = ctx.compute
+        compute_row = ctx.compute_row
         hoist = self.single_subblock
         RS = ROW_SHIFT
 
@@ -154,6 +154,7 @@ class Tradeoff(MatmulAlgorithm):
                             bih = min(bi + mu, rhi)
                             for bj in range(clo, chi, mu):
                                 bjh = min(bj + mu, chi)
+                                cols = range(bj, bjh)
                                 if explicit and not hoist:
                                     for i in range(bi, bih):
                                         crow = C_BASE | (i << RS)
@@ -169,8 +170,7 @@ class Tradeoff(MatmulAlgorithm):
                                         crow = C_BASE | (i << RS)
                                         if explicit:
                                             ctx.load_dist(core, ka)
-                                        for j in range(bj, bjh):
-                                            compute(core, crow | j, ka, brow | j)
+                                        compute_row(core, ka, crow, brow, cols)
                                         if explicit:
                                             ctx.evict_dist(core, ka)
                                     if explicit:

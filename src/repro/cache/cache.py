@@ -118,8 +118,7 @@ class Cache:
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
-        # In place: the fused LRU kernel holds a reference to this list.
-        self.misses_by_matrix[:] = [0, 0, 0]
+        self.misses_by_matrix = [0, 0, 0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,7 +7,9 @@ Two classes mirror the two modes of the paper's simulator (§4.1):
   operations are propagated throughout the hierarchy until a cache hit
   happens."  Replacement is automatic (LRU by default, FIFO available
   for ablations).  Explicit load/evict directives from algorithms are
-  ignored in this mode.
+  ignored in this mode.  Plain LRU runs on a compiled kernel
+  (:mod:`repro.cache.native`); other policies on the Python
+  :class:`~repro.cache.cache.Cache` path.
 
 * :class:`IdealHierarchy` — "the user manually decides which data needs
   to be loaded/unloaded in a given cache; I/O operations are not
@@ -25,11 +27,11 @@ mode-agnostic.
 
 from __future__ import annotations
 
-from typing import Callable, List, Set
+from typing import Any, Callable, FrozenSet, List, NamedTuple, NoReturn, Set
 
+from repro.cache import native
 from repro.cache.block import MAT_SHIFT, key_name
 from repro.cache.cache import Cache
-from repro.cache.lru import LRUCache
 from repro.cache.stats import CacheStats, HierarchyStats
 from repro.exceptions import (
     CapacityError,
@@ -37,6 +39,24 @@ from repro.exceptions import (
     InclusionError,
     PresenceError,
 )
+
+
+class CacheState(NamedTuple):
+    """Resident blocks of one cache, in eviction order, and its dirty set.
+
+    ``order`` lists resident keys least recently used first (insertion
+    order under FIFO): the next victim is ``order[0]``.
+    """
+
+    order: List[int]
+    dirty: FrozenSet[int]
+
+
+class HierarchyState(NamedTuple):
+    """:class:`CacheState` of the shared and of every distributed cache."""
+
+    shared: CacheState
+    distributed: List[CacheState]
 
 
 class LRUHierarchy:
@@ -57,7 +77,20 @@ class LRUHierarchy:
         inclusivity assumption.  When ``False`` (default, and what a
         straightforward two-level LRU does), inner copies may outlive
         the shared one.
+
+    Plain non-inclusive LRU runs on the compiled kernel of
+    :mod:`repro.cache.native`, which then holds all cache state; every
+    other configuration (and plain LRU when the kernel cannot be built)
+    runs the generic Python path over :attr:`shared` and
+    :attr:`distributed` :class:`~repro.cache.cache.Cache` objects.  Both
+    paths produce identical counters; :attr:`kernel` names the one in
+    use (``"step-native"`` or ``"step"``).  Read state through
+    :meth:`snapshot` and :meth:`state`, which work on either path.
     """
+
+    #: Generic-path caches; absent while the native kernel holds the state.
+    shared: Cache
+    distributed: List[Cache]
 
     def __init__(
         self,
@@ -72,22 +105,78 @@ class LRUHierarchy:
         self.p = p
         self.policy_name = policy
         self.inclusive = inclusive
-        self.shared = Cache("shared", cs, policy)
-        self.distributed = [Cache(f"distributed[{c}]", cd, policy) for c in range(p)]
         #: Multiply-adds simulated per core through :attr:`compute`.
         self.comp: List[int] = [0] * p
-        # The fused kernel manipulates the LRU OrderedDicts directly; it
-        # is only valid for plain non-inclusive LRU.
-        self._fast = policy == "lru" and not inclusive
+        self._native = (
+            native.kernel() if policy == "lru" and not inclusive else None
+        )
         #: The per-FMA step kernel, ``(core, ckey, akey, bkey)`` in
         #: :meth:`ExecutionContext.compute` order: the three references
         #: of ``C += A·B`` plus one count in :attr:`comp`.
-        self.compute: Callable[[int, int, int, int], None] = (
-            self._fused_compute() if self._fast else self._generic_compute
-        )
+        self.compute: Callable[[int, int, int, int], None]
+        #: The row kernel, :meth:`ExecutionContext.compute_row` order:
+        #: :attr:`compute` of ``(crow | j, akey, brow | j)`` for every
+        #: ``j`` in ``cols``.
+        self.compute_row: Callable[[int, int, int, int, range], None]
+        if self._native is not None:
+            for capacity in (cs, cd):
+                if capacity < 1:
+                    raise ConfigurationError(
+                        f"cache capacity must be >= 1, got {capacity}"
+                    )
+            self.kernel = "step-native"
+            self._bind_native(self._native, cs, cd)
+        else:
+            self.kernel = "step"
+            self.shared = Cache("shared", cs, policy)
+            self.distributed = [
+                Cache(f"distributed[{c}]", cd, policy) for c in range(p)
+            ]
+            self.compute = self._generic_compute
+            self.compute_row = self._generic_compute_row
 
     # ------------------------------------------------------------------
-    # Generic (policy-agnostic) access path
+    # Native kernel
+    # ------------------------------------------------------------------
+    def _bind_native(self, module: Any, cs: int, cd: int) -> None:
+        ffi, lib = module.ffi, module.lib
+        handle = lib.lru_new(self.p, cs, cd)
+        if handle == ffi.NULL:
+            raise MemoryError(
+                f"cannot allocate an LRU hierarchy of {cs} + {self.p}x{cd} blocks"
+            )
+        self._handle = ffi.gc(handle, lib.lru_free)
+        self._lib = lib
+        self._ffi = ffi
+        fma = lib.lru_compute
+        row = lib.lru_compute_row
+        comp = self.comp
+        fail = self._fail
+
+        def compute(core: int, ckey: int, akey: int, bkey: int) -> None:
+            rc = fma(handle, core, ckey, akey, bkey)
+            if rc:
+                fail(rc, core)
+            comp[core] += 1
+
+        def compute_row(
+            core: int, akey: int, crow: int, brow: int, cols: range
+        ) -> None:
+            rc = row(handle, core, akey, crow, brow, cols.start, cols.stop, cols.step)
+            if rc:
+                fail(rc, core)
+            comp[core] += len(cols)
+
+        self.compute = compute
+        self.compute_row = compute_row
+
+    def _fail(self, rc: int, core: int) -> NoReturn:
+        if rc == native.ERR_CORE:
+            raise IndexError(f"core {core} out of range for p={self.p}")
+        raise ValueError("block key with a matrix tag outside A, B, C")
+
+    # ------------------------------------------------------------------
+    # Access paths
     # ------------------------------------------------------------------
     def touch(self, core: int, key: int, write: bool = False) -> bool:
         """One reference by ``core`` to ``key``; returns distributed-hit.
@@ -101,6 +190,11 @@ class LRUHierarchy:
         straight to memory and was already counted at the distributed
         level.
         """
+        if self._native is not None:
+            rc = self._lib.lru_touch(self._handle, core, key, write)
+            if rc < 0:
+                self._fail(rc, core)
+            return bool(rc)
         hit, victim, victim_dirty = self.distributed[core].access(key, write)
         if victim is not None and victim_dirty and victim in self.shared:
             self.shared.dirty.add(victim)
@@ -122,98 +216,74 @@ class LRUHierarchy:
         self.touch(core, ckey, write=True)
         self.comp[core] += 1
 
-    def _fused_compute(self) -> Callable[[int, int, int, int], None]:
-        """Build the plain-LRU kernel: :meth:`touch` inlined over the
-        ``OrderedDict`` internals, in one call per multiply-add.
-
-        Everything the kernel reaches is bound once here.  Per call it
-        counts hits and misses in locals and adds them to the caches'
-        counters before returning, so the counters are live between
-        calls.  Tests assert that this kernel and three :meth:`touch`
-        calls produce identical counters and dirty sets.
-        """
-        per_core = [
-            (
-                dc,
-                dc.policy._data,  # type: ignore[attr-defined]
-                dc.policy._data.move_to_end,  # type: ignore[attr-defined]
-                dc.policy._data.popitem,  # type: ignore[attr-defined]
-                dc.dirty,
-                dc.misses_by_matrix,
-            )
-            for dc in self.distributed
-        ]
-        dcap = self.distributed[0].capacity
-        sc = self.shared
-        sdata = sc.policy._data  # type: ignore[attr-defined]
-        smove = sdata.move_to_end
-        spop = sdata.popitem
-        scap = sc.capacity
-        sdirty = sc.dirty
-        smbm = sc.misses_by_matrix
-        comp = self.comp
-
-        def compute(core: int, ckey: int, akey: int, bkey: int) -> None:
-            dc, ddata, move, dpop, ddirty, dmbm = per_core[core]
-            misses = 0
-            shared_hits = 0
-            for key in (akey, bkey, ckey):
-                if key in ddata:
-                    move(key)
-                    continue
-                misses += 1
-                dmbm[key >> MAT_SHIFT] += 1
-                if len(ddata) >= dcap:
-                    victim = dpop(False)[0]
-                    if victim in ddirty:
-                        ddirty.discard(victim)
-                        dc.writebacks += 1
-                        if victim in sdata:
-                            sdirty.add(victim)
-                ddata[key] = None
-                # propagate to shared
-                if key in sdata:
-                    smove(key)
-                    shared_hits += 1
-                    continue
-                sc.misses += 1
-                smbm[key >> MAT_SHIFT] += 1
-                if len(sdata) >= scap:
-                    s_victim = spop(False)[0]
-                    if s_victim in sdirty:
-                        sdirty.discard(s_victim)
-                        sc.writebacks += 1
-                sdata[key] = None
-            dc.hits += 3 - misses
-            if misses:
-                dc.misses += misses
-                sc.hits += shared_hits
-            ddirty.add(ckey)
-            comp[core] += 1
-
-        return compute
+    def _generic_compute_row(
+        self, core: int, akey: int, crow: int, brow: int, cols: range
+    ) -> None:
+        for j in cols:
+            self._generic_compute(core, crow | j, akey, brow | j)
 
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
+    def _native_stats(self, cache: int) -> CacheStats:
+        out = self._ffi.new("lru_counters *")
+        self._lib.lru_counters_of(self._handle, cache, out)
+        return CacheStats(
+            hits=out.hits,
+            misses=out.misses,
+            writebacks=out.writebacks,
+            misses_by_matrix=list(out.misses_by_matrix),
+        )
+
+    def _native_state(self, cache: int) -> CacheState:
+        size = self._lib.lru_size(self._handle, cache)
+        keys = self._ffi.new("uint64_t[]", size)
+        dirty = self._ffi.new("int32_t[]", size)
+        self._lib.lru_export(self._handle, cache, keys, dirty)
+        order = list(keys)
+        return CacheState(order, frozenset(k for k, d in zip(order, dirty) if d))
+
     def snapshot(self) -> HierarchyStats:
         """Snapshot all counters into a :class:`HierarchyStats`."""
+        if self._native is not None:
+            return HierarchyStats(
+                shared=self._native_stats(-1),
+                distributed=[self._native_stats(c) for c in range(self.p)],
+            )
         return HierarchyStats(
             shared=self.shared.stats(),
             distributed=[dc.stats() for dc in self.distributed],
         )
 
+    def state(self) -> HierarchyState:
+        """Resident blocks (in eviction order) and dirty sets of every cache."""
+        if self._native is not None:
+            return HierarchyState(
+                self._native_state(-1),
+                [self._native_state(c) for c in range(self.p)],
+            )
+
+        def of(cache: Cache) -> CacheState:
+            return CacheState(list(cache.policy), frozenset(cache.dirty))
+
+        return HierarchyState(of(self.shared), [of(dc) for dc in self.distributed])
+
     def reset(self) -> None:
         """Empty every cache and zero all counters."""
-        self.shared.reset()
-        for dc in self.distributed:
-            dc.reset()
+        if self._native is not None:
+            self._lib.lru_reset(self._handle)
+        else:
+            self.shared.reset()
+            for dc in self.distributed:
+                dc.reset()
         self.comp[:] = [0] * self.p
 
     def check_inclusion(self) -> bool:
         """Whether every distributed-resident block is shared-resident."""
+        state = self.state()
+        shared = set(state.shared.order)
         return all(
-            key in self.shared for dc in self.distributed for key in dc.policy
+            key in shared for dc in state.distributed for key in dc.order
         )
 
 

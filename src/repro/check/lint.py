@@ -4,7 +4,8 @@ Seven rules, each born from a real failure mode of this codebase:
 
 * ``explicit-guard`` — in ``algorithms/*.py``, calls to the explicit
   directives (``load_shared``, ``evict_shared``, ``load_dist``,
-  ``evict_dist``) must sit under an ``if`` whose condition references
+  ``evict_dist``) and to the directive-bearing row operation
+  ``stream_row`` must sit under an ``if`` whose condition references
   ``explicit`` (``if ctx.explicit:`` or a hoisted ``if explicit:``).
   An unguarded directive silently burns cycles on the very hot LRU and
   numeric paths, where the calls are no-ops.
@@ -85,6 +86,10 @@ from repro.check.rules import (
 #: The explicit-directive method names of the execution contexts.
 DIRECTIVES = frozenset({"load_shared", "evict_shared", "load_dist", "evict_dist"})
 
+#: Calls the ``explicit-guard`` rule confines to ``if … explicit …``:
+#: the directives, plus ``stream_row``, which issues them for a row.
+GUARDED_CALLS = DIRECTIVES | {"stream_row"}
+
 #: Call targets whose results are mutable (as default arguments).
 _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray", "defaultdict"})
 
@@ -111,9 +116,9 @@ def _mentions_explicit(node: ast.AST) -> bool:
 
 def _directive_name(call: ast.Call) -> Optional[str]:
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in DIRECTIVES:
+    if isinstance(func, ast.Attribute) and func.attr in GUARDED_CALLS:
         return func.attr
-    if isinstance(func, ast.Name) and func.id in DIRECTIVES:
+    if isinstance(func, ast.Name) and func.id in GUARDED_CALLS:
         return func.id
     return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.algorithms.base import ExecutionContext
+from repro.cache.block import MAT_SHIFT
 from repro.cache.hierarchy import IdealHierarchy, LRUHierarchy
 from repro.cache.multilevel import MultiLevelHierarchy
 from repro.cache.trace import AccessTrace
@@ -29,11 +30,12 @@ class LRUContext(ExecutionContext):
     def __init__(self, hierarchy: LRUHierarchy) -> None:
         super().__init__(hierarchy.p)
         self.hierarchy = hierarchy
-        # One call per multiply-add: the hierarchy's step kernel does the
-        # three touches and counts the multiply-add in its ``comp``,
-        # which this context reports as its own.
+        # One call per multiply-add (or per row): the hierarchy's step
+        # kernels do the touches and count the multiply-adds in its
+        # ``comp``, which this context reports as its own.
         self.comp = hierarchy.comp
         self.compute = hierarchy.compute  # type: ignore[method-assign]
+        self.compute_row = hierarchy.compute_row  # type: ignore[method-assign]
 
     def compute(self, core: int, ckey: int, akey: int, bkey: int) -> None:
         # Shadowed per instance by ``hierarchy.compute`` (see __init__).
@@ -61,6 +63,109 @@ class IdealContext(ExecutionContext):
             self._assert(core, akey, bkey, ckey)
         self._dist_dirty[core].add(ckey)
         self.comp[core] += 1
+
+    # The row operations below inline :class:`IdealHierarchy`'s set
+    # operations for a whole row.  They reproduce the per-block sequence
+    # exactly (counters, ``redundant_loads``, peaks, dirty sets); with
+    # ``check=True`` they take the per-block path, whose capacity,
+    # inclusion and presence errors fire at the same operation.
+    def compute_row(
+        self, core: int, akey: int, crow: int, brow: int, cols: range
+    ) -> None:
+        if self._check:
+            super().compute_row(core, akey, crow, brow, cols)
+            return
+        mark = self._dist_dirty[core].add
+        for j in cols:
+            mark(crow | j)
+        self.comp[core] += len(cols)
+
+    def stream_row(
+        self,
+        core: int,
+        akey: int,
+        crow: int,
+        brow: int,
+        cols: range,
+        shared: bool = False,
+    ) -> None:
+        if self._check:
+            super().stream_row(core, akey, crow, brow, cols, shared)
+            return
+        h = self.hierarchy
+        dset = h.dist_sets[core]
+        ddirty = h.dist_dirty[core]
+        sset = h.shared_set
+        sdirty = h.shared_dirty
+        peak_d = h.peak_dist[core]
+        peak_s = h.peak_shared
+        redundant = ms_b = ms_c = md_b = md_c = 0
+        updates = swb = 0
+        for j in cols:
+            kb = brow | j
+            kc = crow | j
+            if shared:
+                if kb in sset:
+                    redundant += 1
+                else:
+                    sset.add(kb)
+                    ms_b += 1
+            if kb in dset:
+                redundant += 1
+            else:
+                dset.add(kb)
+                md_b += 1
+            if shared:
+                if kc in sset:
+                    redundant += 1
+                else:
+                    sset.add(kc)
+                    ms_c += 1
+                if len(sset) > peak_s:
+                    peak_s = len(sset)
+            if kc in dset:
+                redundant += 1
+            else:
+                dset.add(kc)
+                md_c += 1
+            if len(dset) > peak_d:
+                peak_d = len(dset)
+            # compute marks C dirty; evicting B, then the dirty C, pushes
+            # C (and B, if dirty) back into the shared copy.
+            if kb in ddirty:
+                ddirty.discard(kb)
+                updates += 1
+                sdirty.add(kb)
+            dset.discard(kb)
+            ddirty.discard(kc)
+            updates += 1
+            dset.discard(kc)
+            if shared:
+                if kb in sdirty:
+                    sdirty.discard(kb)
+                    swb += 1
+                sset.discard(kb)
+                # The C write-back just dirtied the shared copy.
+                sdirty.discard(kc)
+                swb += 1
+                sset.discard(kc)
+            else:
+                sdirty.add(kc)
+        tb = brow >> MAT_SHIFT
+        tc = crow >> MAT_SHIFT
+        h.md[core] += md_b + md_c
+        h.md_by_matrix[core][tb] += md_b
+        h.md_by_matrix[core][tc] += md_c
+        h.peak_dist[core] = peak_d
+        h.dist_updates[core] += updates
+        h.redundant_loads += redundant
+        if shared:
+            h.ms += ms_b + ms_c
+            h.ms_by_matrix[tb] += ms_b
+            h.ms_by_matrix[tc] += ms_c
+            h.peak_shared = peak_s
+            h.shared_writebacks += swb
+        self.comp[core] += len(cols)
 
 
 class MultiLevelContext(ExecutionContext):

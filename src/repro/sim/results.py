@@ -45,12 +45,14 @@ class ExperimentResult:
     #: replay was silently degraded to the step engine.
     engine: str = ""
     engine_fallback: bool = False
-    #: Replay-engine telemetry: which kernel evaluated the cell
-    #: (``"bulk-lru"``/``"bulk-fifo"``/``"ideal"``/``"step"``) and where
-    #: its compiled trace came from (``"compiled"``/``"memory"``/
-    #: ``"disk"``).  Empty on step-engine results and on results
-    #: predating the fields; like ``engine``, never part of resume
-    #: identity.
+    #: Which kernel evaluated the cell: ``"step-native"`` (step engine,
+    #: compiled plain-LRU kernel), ``"step"`` (step engine, Python path:
+    #: IDEAL, FIFO, inclusive, or plain LRU without a built kernel),
+    #: ``"bulk-lru"``/``"bulk-fifo"``/``"ideal"`` (replay); and where a
+    #: replayed cell's compiled trace came from (``"compiled"``/
+    #: ``"memory"``/``"disk"``, empty on step results).  Both are empty
+    #: on results predating the fields; like ``engine``, never part of
+    #: resume identity or cell fingerprints.
     kernel: str = ""
     trace_source: str = ""
 

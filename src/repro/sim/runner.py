@@ -212,12 +212,14 @@ def run_experiment(
             machine.p, simulated.cs, simulated.cd, check=check
         )
         ctx: Union[IdealContext, LRUContext] = IdealContext(hierarchy)
+        kernel = "step"
     else:
         simulated = setting.simulated(machine)
         hierarchy = LRUHierarchy(
             machine.p, simulated.cs, simulated.cd, policy=policy, inclusive=inclusive
         )
         ctx = LRUContext(hierarchy)
+        kernel = hierarchy.kernel
 
     start = time.perf_counter()
     alg.run(ctx)
@@ -245,5 +247,5 @@ def run_experiment(
         worker=os.getpid(),
         engine="step",
         engine_fallback=fallback,
-        kernel="step",
+        kernel=kernel,
     )

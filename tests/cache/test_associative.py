@@ -168,9 +168,9 @@ class TestPolicySpecs:
         from repro.cache.block import block_key, MAT_A
 
         h = LRUHierarchy(p=2, cs=16, cd=4, policy="assoc2")
-        assert not h._fast  # generic path
+        assert h.kernel == "step"  # generic path
         h.touch(0, block_key(MAT_A, 0, 0))
-        assert h.shared.misses == 1
+        assert h.snapshot().shared.misses == 1
 
     def test_run_experiment_with_assoc(self):
         from repro.model.machine import MulticoreMachine

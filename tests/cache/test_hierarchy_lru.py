@@ -1,8 +1,11 @@
 """Tests for the LRU-mode two-level hierarchy."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import native
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.cache.hierarchy import LRUHierarchy
 from repro.exceptions import ConfigurationError
@@ -25,24 +28,25 @@ class TestPropagation:
     def test_distributed_hit_does_not_touch_shared(self):
         h = LRUHierarchy(p=2, cs=16, cd=4)
         h.touch(0, ka(1))
-        shared_before = h.shared.misses + h.shared.hits
+        shared_before = h.snapshot().shared.accesses
         h.touch(0, ka(1))  # distributed hit
-        assert h.shared.misses + h.shared.hits == shared_before
+        assert h.snapshot().shared.accesses == shared_before
 
     def test_distributed_miss_propagates(self):
         h = LRUHierarchy(p=2, cs=16, cd=4)
         h.touch(0, ka(1))
-        assert h.shared.misses == 1
+        assert h.snapshot().shared.misses == 1
         # Another core misses in its own cache but hits in shared.
         h.touch(1, ka(1))
-        assert h.shared.misses == 1
-        assert h.shared.hits == 1
-        assert h.distributed[1].misses == 1
+        stats = h.snapshot()
+        assert stats.shared.misses == 1
+        assert stats.shared.hits == 1
+        assert stats.distributed[1].misses == 1
 
     def test_per_core_isolation(self):
         h = LRUHierarchy(p=2, cs=16, cd=4)
         h.touch(0, ka(1))
-        assert 0 == len(h.distributed[1].policy)
+        assert 0 == len(h.state().distributed[1].order)
 
     def test_md_is_max_across_cores(self):
         h = LRUHierarchy(p=2, cs=64, cd=4)
@@ -64,7 +68,7 @@ class TestWritebacks:
         h = LRUHierarchy(p=1, cs=16, cd=1)
         h.touch(0, kc(0), write=True)
         h.touch(0, kc(1))  # evicts dirty kc(0)
-        assert h.distributed[0].writebacks == 1
+        assert h.snapshot().distributed[0].writebacks == 1
 
     def test_distributed_writeback_dirties_shared_copy(self):
         # Mirrors IdealHierarchy.evict_distributed: a dirty victim
@@ -74,17 +78,17 @@ class TestWritebacks:
         h = LRUHierarchy(p=1, cs=16, cd=1)
         h.touch(0, kc(0), write=True)
         h.touch(0, kc(1))  # evicts dirty kc(0) -> shared copy dirty
-        assert kc(0) in h.shared.dirty
-        assert h.distributed[0].writebacks == 1
+        assert kc(0) in h.state().shared.dirty
+        assert h.snapshot().distributed[0].writebacks == 1
 
     def test_shared_eviction_after_propagation_counts_writeback(self):
         h = LRUHierarchy(p=1, cs=2, cd=1)
         h.touch(0, kc(0), write=True)
         h.touch(0, ka(0))  # evicts dirty kc(0) from distributed
-        assert kc(0) in h.shared.dirty
+        assert kc(0) in h.state().shared.dirty
         h.touch(0, kb(0))  # shared (cs=2) evicts kc(0): dirty -> write-back
-        assert kc(0) not in h.shared.dirty
-        assert h.shared.writebacks == 1
+        assert kc(0) not in h.state().shared.dirty
+        assert h.snapshot().shared.writebacks == 1
 
     def test_writeback_to_memory_when_shared_copy_gone(self):
         # If the shared cache already dropped the block, the distributed
@@ -94,9 +98,9 @@ class TestWritebacks:
         h.touch(0, kc(0), write=True)
         h.touch(0, ka(0))  # shared (cs=1) evicts kc(0); core keeps both
         h.touch(0, kb(0))  # distributed evicts dirty kc(0); not in shared
-        assert h.distributed[0].writebacks == 1
-        assert kc(0) not in h.shared.dirty
-        assert h.shared.writebacks == 0
+        assert h.snapshot().distributed[0].writebacks == 1
+        assert kc(0) not in h.state().shared.dirty
+        assert h.snapshot().shared.writebacks == 0
 
     def test_matches_ideal_dirty_propagation_semantics(self):
         # The same load/evict story expressed against IdealHierarchy
@@ -115,7 +119,7 @@ class TestWritebacks:
         lru.touch(0, kc(0), write=True)
         lru.touch(0, ka(0))  # distributed evicts dirty kc(0)
         lru.touch(0, kb(0))  # shared evicts kc(0)
-        assert lru.shared.writebacks == ideal.shared_writebacks
+        assert lru.snapshot().shared.writebacks == ideal.shared_writebacks
 
 
 class TestInclusiveMode:
@@ -126,7 +130,7 @@ class TestInclusiveMode:
         h.touch(0, ka(1))
         h.touch(0, ka(2))
         h.touch(0, ka(3))  # shared evicts ka(1)
-        assert ka(1) not in h.distributed[0].policy
+        assert ka(1) not in h.state().distributed[0].order
         assert h.check_inclusion()
 
     def test_non_inclusive_can_violate(self):
@@ -152,12 +156,19 @@ class TestInclusiveMode:
         assert h.check_inclusion()
 
 
+def python_hierarchy(*args, **kwargs):
+    """An LRUHierarchy forced onto the generic Python (Cache) path."""
+    with mock.patch.object(native, "kernel", return_value=None):
+        return LRUHierarchy(*args, **kwargs)
+
+
 def _run_both(fmas, p, cs, cd):
-    """Drive the fused kernel through LRUContext and, separately, the
-    reference: three generic touch() calls per multiply-add."""
+    """Drive the step kernel through LRUContext and, separately, the
+    reference: three generic touch() calls per multiply-add on the
+    Python path."""
     fast = LRUHierarchy(p=p, cs=cs, cd=cd)
-    slow = LRUHierarchy(p=p, cs=cs, cd=cd)
-    assert fast._fast
+    slow = python_hierarchy(p=p, cs=cs, cd=cd)
+    assert slow.kernel == "step"
     ctx = LRUContext(fast)
     assert ctx.compute is fast.compute
     for core, akey, bkey, ckey in fmas:
@@ -179,16 +190,18 @@ def _assert_identical(fast, slow):
     assert fs == ss
     # Write-back accounting and dirtiness must agree everywhere:
     # shared write-backs only match if distributed dirty evictions
-    # propagate identically on both paths.
-    assert fast.shared.dirty == slow.shared.dirty
-    for fdc, sdc in zip(fast.distributed, slow.distributed):
+    # propagate identically on both paths.  The state export also
+    # carries every cache's recency order.
+    fst, sst = fast.state(), slow.state()
+    assert fst.shared.dirty == sst.shared.dirty
+    for fdc, sdc in zip(fst.distributed, sst.distributed):
         assert fdc.dirty == sdc.dirty
-        assert list(fdc.policy) == list(sdc.policy)
-    assert list(fast.shared.policy) == list(slow.shared.policy)
+        assert fdc.order == sdc.order
+    assert fst.shared.order == sst.shared.order
 
 
 class TestFastPathEquivalence:
-    """The fused LRU kernel must equal three generic touch() calls."""
+    """The LRU step kernel must equal three generic touch() calls."""
 
     @given(
         st.lists(
@@ -219,20 +232,20 @@ class TestFastPathEquivalence:
         stats = fast.snapshot()
         assert stats.distributed[0].writebacks > 0
         assert stats.shared.writebacks > 0
-        assert fast.distributed[0].dirty
+        assert fast.state().distributed[0].dirty
 
     def test_compute_touches_is_the_fused_kernel(self):
         h = LRUHierarchy(p=1, cs=8, cd=3)
         h.compute_touches(0, ka(0), kb(0), kc(0))
-        assert h.distributed[0].misses == 3
+        assert h.snapshot().distributed[0].misses == 3
         assert h.comp == [1]
-        assert h.distributed[0].dirty == {kc(0)}
+        assert h.state().distributed[0].dirty == {kc(0)}
 
     def test_fifo_uses_generic_path(self):
         h = LRUHierarchy(p=1, cs=8, cd=3, policy="fifo")
-        assert not h._fast
+        assert h.kernel == "step"
         h.compute_touches(0, ka(0), kb(0), kc(0))
-        assert h.distributed[0].misses == 3
+        assert h.snapshot().distributed[0].misses == 3
 
     def test_reset(self):
         h = LRUHierarchy(p=2, cs=8, cd=3)

@@ -49,6 +49,27 @@ class TestExplicitGuard:
         found = lint_source(src, "alg.py", algorithms_module=True)
         assert rules(found) == ["explicit-guard"]
 
+    def test_unguarded_stream_row_flagged(self):
+        # stream_row issues load/evict directives for a whole row, so a
+        # schedule must guard it like the directives themselves.
+        src = (
+            "def run(self, ctx):\n"
+            "    ctx.stream_row(0, 1, 2, 3, range(4))\n"
+        )
+        found = lint_source(src, "alg.py", algorithms_module=True)
+        assert rules(found) == ["explicit-guard"]
+        assert "ctx.stream_row(...)" in found[0].message
+
+    def test_guarded_stream_row_clean(self):
+        src = (
+            "def run(self, ctx):\n"
+            "    if ctx.explicit:\n"
+            "        ctx.stream_row(0, 1, 2, 3, range(4), shared=True)\n"
+            "    else:\n"
+            "        ctx.compute_row(0, 1, 2, 3, range(4))\n"
+        )
+        assert lint_source(src, "alg.py", algorithms_module=True) == []
+
     def test_rule_scoped_to_algorithms_modules(self):
         # Contexts and caches implement the directives; only schedule
         # modules must guard the calls.

@@ -19,7 +19,7 @@ class TestLRUContext:
         h = LRUHierarchy(p=1, cs=16, cd=4)
         ctx = LRUContext(h)
         ctx.compute(0, *keys(0, 0, 0))
-        assert h.distributed[0].misses == 3
+        assert h.snapshot().distributed[0].misses == 3
         assert ctx.comp == [1]
 
     def test_not_explicit(self):
@@ -29,7 +29,7 @@ class TestLRUContext:
         h = LRUHierarchy(p=1, cs=16, cd=4)
         ctx = LRUContext(h)
         ctx.load_shared(block_key(MAT_A, 0, 0))
-        assert h.shared.misses == 0
+        assert h.snapshot().shared.misses == 0
 
 
 class TestIdealContext:

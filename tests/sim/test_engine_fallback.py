@@ -4,6 +4,7 @@ import logging
 
 import pytest
 
+from repro.cache.hierarchy import LRUHierarchy
 from repro.exceptions import ConfigurationError
 from repro.fabric.local import run_local_fabric
 from repro.model.machine import MulticoreMachine
@@ -14,6 +15,10 @@ from repro.store.serde import result_from_dict, result_to_dict
 
 # Power-of-two cache sizes so the 'plru' ablation policy is valid.
 MACHINE = MulticoreMachine(p=4, cs=128, cd=16, q=8)
+
+#: The step kernel plain-LRU cells run on here ("step-native" when the
+#: compiled kernel is available, else "step").
+LRU_STEP = LRUHierarchy(1, 1, 1).kernel
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +50,9 @@ class TestDefaultEngine:
         assert len(results) == 10
         for result in results:
             assert result.engine == "step"
-            assert result.kernel == "step"
+            assert result.kernel == (
+                "step" if result.setting == "ideal" else LRU_STEP
+            )
             assert result.engine_fallback is False
 
 

@@ -1,7 +1,7 @@
 """Kernel/trace-source telemetry: who evaluated a cell, from what.
 
 ``ExperimentResult.kernel`` names the evaluation path (``bulk-lru``,
-``bulk-fifo``, ``ideal``, ``step``) and ``trace_source`` where the
+``bulk-fifo``, ``ideal``, ``step-native``, ``step``) and ``trace_source`` where the
 compiled trace came from (``compiled``/``memory``/``disk``).  These
 tests pin the values across engines and the replay size limit, their
 serde round-trip (including legacy payloads without the fields), and
@@ -10,6 +10,7 @@ their mirroring onto sweep manifests.
 
 import pytest
 
+from repro.cache.hierarchy import LRUHierarchy
 from repro.cache.replay import clear_trace_cache, configure_trace_tier, trace_tier_root
 from repro.exceptions import ConfigurationError
 from repro.model.machine import PRESETS
@@ -19,6 +20,10 @@ from repro.sim.telemetry import CellRecord
 from repro.store.serde import result_from_dict, result_to_dict
 
 MACHINE = PRESETS["q32"]
+
+#: The step kernel plain-LRU cells run on here ("step-native" when the
+#: compiled kernel is available, else "step").
+LRU_STEP = LRUHierarchy(1, 1, 1).kernel
 
 
 @pytest.fixture(autouse=True)
@@ -83,7 +88,7 @@ class TestRunnerTelemetry:
         result = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, "lru-50", engine="step"
         )
-        assert result.kernel == "step"
+        assert result.kernel == LRU_STEP
         assert result.trace_source == ""
 
 
@@ -95,7 +100,7 @@ class TestReplaySizeLimit:
             "shared-opt", MACHINE, 4, 4, 4, setting, engine="replay"
         )
         assert result.engine == "step"
-        assert result.kernel == "step"
+        assert result.kernel == ("step" if setting == "ideal" else LRU_STEP)
         assert result.engine_fallback
         baseline = run_experiment(
             "shared-opt", MACHINE, 4, 4, 4, setting, engine="step"
