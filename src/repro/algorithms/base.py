@@ -31,7 +31,8 @@ counting contexts override them to run a whole row per call.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, Dict, List, Sequence
+from dataclasses import replace
+from typing import Any, ClassVar, Dict, FrozenSet, Hashable, List, Sequence
 
 from repro.cache.block import block_key, MAT_A, MAT_B, MAT_C
 from repro.exceptions import ConfigurationError
@@ -180,6 +181,9 @@ class MatmulAlgorithm(ABC):
     #: this to False; the runner then refuses the ``ideal`` setting
     #: instead of silently reporting zero misses.
     supports_ideal: ClassVar[bool] = True
+    #: Entries of :meth:`parameters` that are reported but never read by
+    #: :meth:`run` (left out of :meth:`schedule_key`).
+    display_only_parameters: ClassVar[FrozenSet[str]] = frozenset()
 
     def __init__(self, machine: MulticoreMachine, m: int, n: int, z: int) -> None:
         if m < 1 or n < 1 or z < 1:
@@ -203,6 +207,27 @@ class MatmulAlgorithm(ABC):
     def parameters(self) -> Dict[str, Any]:
         """The tile parameters the schedule runs with (for reports)."""
         return {}
+
+    def schedule_key(self) -> Hashable:
+        """Identity of the emitted operation stream, bandwidths left out.
+
+        Everything :meth:`run` can read: the registered name, the shape,
+        the *declared* machine with ``sigma_s``/``sigma_d``/``name``
+        normalised away (schedules plan against bandwidths only through
+        their tile parameters) and the resolved tile plan minus
+        :attr:`display_only_parameters`.  Two schedules with equal keys
+        emit identical streams, so a bandwidth sweep simulates each key
+        once and a compiled trace is shared across bandwidth ratios.
+        """
+        machine = replace(self.machine, sigma_s=1.0, sigma_d=1.0, name="")
+        plan = tuple(
+            sorted(
+                (key, value)
+                for key, value in self.parameters().items()
+                if key not in self.display_only_parameters
+            )
+        )
+        return (type(self).name, machine, self.m, self.n, self.z, plan)
 
     @property
     def comp_total(self) -> int:

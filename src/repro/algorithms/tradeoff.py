@@ -49,6 +49,9 @@ class Tradeoff(MatmulAlgorithm):
     name = "tradeoff"
     label = "Tradeoff"
     requires_square_grid = True
+    #: ``alpha_num`` is rounded from the bandwidth ratio for reports;
+    #: the schedule runs on the integer ``(α, β, µ)`` alone.
+    display_only_parameters = frozenset({"alpha_num"})
 
     def __init__(
         self,

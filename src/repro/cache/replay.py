@@ -1138,23 +1138,18 @@ def trace_tier_root() -> Optional[str]:
 
 
 def trace_fingerprint(algorithm: MatmulAlgorithm) -> Hashable:
-    """Memoization key: everything the emitted trace can depend on.
+    """Memoization key: the schedule's
+    :meth:`~repro.algorithms.base.MatmulAlgorithm.schedule_key`.
 
-    The *declared* machine (the one the schedule plans its tiles
-    against) plus the shape and the resolved tile parameters — so a
+    That is everything the emitted trace can depend on: the *declared*
+    machine (the one the schedule plans its tiles against) without its
+    bandwidths, the shape and the resolved tile plan.  A
     bandwidth-adaptive schedule that re-plans (Tradeoff under ratio
-    sweeps) fingerprints differently per plan, while ``lru`` and
-    ``lru-2x`` (same declared machine, different simulated capacities)
-    share one trace.
+    sweeps) fingerprints differently per plan; every other point of a
+    ratio sweep shares one trace, as do ``lru`` and ``lru-2x`` (same
+    declared machine, different simulated capacities).
     """
-    return (
-        type(algorithm).name,
-        algorithm.machine,
-        algorithm.m,
-        algorithm.n,
-        algorithm.z,
-        tuple(sorted(algorithm.parameters().items())),
-    )
+    return algorithm.schedule_key()
 
 
 def compiled_trace_for(

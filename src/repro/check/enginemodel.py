@@ -58,7 +58,6 @@ _RUNNER_CALLS = frozenset(
         "order_sweep",
         "ratio_sweep",
         "parallel_order_sweep",
-        "parallel_ratio_sweep",
     }
 )
 

@@ -27,7 +27,7 @@ from repro.sim.settings import SETTINGS, Setting, get_setting
 from repro.sim.results import ExperimentResult, SweepResult
 from repro.sim.runner import run_experiment
 from repro.sim.sweep import order_sweep, ratio_sweep, resolve_entries, series_label
-from repro.sim.parallel import parallel_order_sweep, parallel_ratio_sweep
+from repro.sim.parallel import parallel_order_sweep
 from repro.sim.faults import (
     FaultInjectionError,
     FaultPlan,
@@ -55,7 +55,6 @@ __all__ = [
     "resolve_entries",
     "series_label",
     "parallel_order_sweep",
-    "parallel_ratio_sweep",
     "FaultInjectionError",
     "FaultPlan",
     "FaultSpec",

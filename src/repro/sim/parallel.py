@@ -3,11 +3,12 @@
 Simulating one experiment is inherently sequential (a cache's state is
 a chain), but a *sweep* is embarrassingly parallel: every
 (algorithm, setting, order) cell is independent.  This module fans the
-cells of :func:`repro.sim.sweep.order_sweep` /
-:func:`~repro.sim.sweep.ratio_sweep` out over a
+cells of :func:`repro.sim.sweep.order_sweep` out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` — successful cells are
-bit-identical to the serial versions (tests assert it), only wall-clock
-changes.
+bit-identical to the serial version (tests assert it), only wall-clock
+changes.  Bandwidth-ratio sweeps stay serial:
+:func:`~repro.sim.sweep.ratio_sweep` simulates each distinct schedule
+once per sweep, which beats dispatching every ratio to a pool.
 
 Unlike a bare ``pool.map``, the engine treats the pool as unreliable
 infrastructure:
@@ -1046,79 +1047,6 @@ def parallel_order_sweep(
         labels=labels,
         cells=cells,
         machines=[machine],
-        entries=entry_table,
-        workers=workers,
-        cell_timeout=cell_timeout,
-        retries=retries,
-        backoff=backoff,
-        chunksize=chunksize,
-        fault_plan=fault_plan,
-        serial_fallback=serial_fallback,
-        manifest_path=manifest_path,
-        pool_factory=pool_factory,
-        run_dir=run_dir,
-        resume=resume,
-        drain_grace_s=drain_grace_s,
-    )
-
-
-def parallel_ratio_sweep(
-    entries: Iterable[Entry],
-    machine: MulticoreMachine,
-    ratios: Sequence[float],
-    order: int,
-    *,
-    workers: Optional[int] = None,
-    total_bandwidth: float = 2.0,
-    check: bool = False,
-    inclusive: bool = False,
-    policy: str = "lru",
-    engine: str = "step",
-    strict_engine: bool = False,
-    cell_timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff: float = 0.1,
-    chunksize: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    serial_fallback: bool = True,
-    manifest_path: Optional[Union[str, Path]] = None,
-    pool_factory: Optional[Callable[..., Executor]] = None,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    drain_grace_s: float = 5.0,
-) -> SweepResult:
-    """Fault-tolerant parallel equivalent of :func:`repro.sim.sweep.ratio_sweep`.
-
-    The per-ratio machines are derived once and shipped through the pool
-    initializer; each submitted cell carries only the index of its
-    machine.
-    """
-    reset_fallback_warnings()
-    resolved = resolve_entries(entries)
-    labels = [label for _a, _s, _p, label in resolved]
-    machines = [
-        machine.with_bandwidth_ratio(r, total=total_bandwidth) for r in ratios
-    ]
-    entry_table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
-    cells: List[CellSpec] = []
-    for algorithm, setting, params, label in resolved:
-        kwargs: Dict[str, Any] = dict(
-            check=check,
-            inclusive=inclusive,
-            policy=policy,
-            engine=engine,
-            strict_engine=strict_engine,
-            **params,
-        )
-        entry_table[label] = (algorithm, setting, kwargs)
-        for index in range(len(ratios)):
-            cells.append((label, index, index, order, order, order, 1))
-    return _run_engine_sweep(
-        variable="r",
-        xs=list(ratios),
-        labels=labels,
-        cells=cells,
-        machines=machines,
         entries=entry_table,
         workers=workers,
         cell_timeout=cell_timeout,

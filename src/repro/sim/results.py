@@ -50,9 +50,14 @@ class ExperimentResult:
     #: IDEAL, FIFO, inclusive, or plain LRU without a built kernel),
     #: ``"bulk-lru"``/``"bulk-fifo"``/``"ideal"`` (replay); and where a
     #: replayed cell's compiled trace came from (``"compiled"``/
-    #: ``"memory"``/``"disk"``, empty on step results).  Both are empty
-    #: on results predating the fields; like ``engine``, never part of
-    #: resume identity or cell fingerprints.
+    #: ``"memory"``/``"disk"``, empty on step results).
+    #: ``trace_source="sweep"`` marks a cell that was not simulated: a
+    #: :func:`~repro.sim.sweep.ratio_sweep` point whose schedule and
+    #: hierarchy equal an earlier point's, built from that point's
+    #: counters (``elapsed_s=0.0``; ``engine``/``kernel`` are the
+    #: simulated point's).  Both are empty on results predating the
+    #: fields; like ``engine``, never part of resume identity or cell
+    #: fingerprints.
     kernel: str = ""
     trace_source: str = ""
 

@@ -250,6 +250,33 @@ class TestTraceCache:
             get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
         )
 
+    def test_bandwidth_ratios_share_one_trace(self):
+        # the fingerprint is the bandwidth-free schedule key: a ratio
+        # sweep of a non-adaptive schedule compiles its trace once
+        for r in (0.2, 0.8):
+            result = run_experiment(
+                "shared-opt",
+                MACHINE.with_bandwidth_ratio(r),
+                6,
+                6,
+                6,
+                "ideal",
+                engine="replay",
+            )
+        assert trace_cache_info()["entries"] == 1
+        assert result.trace_source == "memory"
+
+    def test_distinct_tradeoff_plans_do_not_share(self):
+        low, high = (
+            get_algorithm("tradeoff")(MACHINE.with_bandwidth_ratio(r), 8, 8, 8)
+            for r in (0.05, 0.95)
+        )
+        assert low.parameters()["alpha"] != high.parameters()["alpha"]
+        assert trace_fingerprint(low) != trace_fingerprint(high)
+        compiled_trace_for(low)
+        compiled_trace_for(high)
+        assert trace_cache_info()["entries"] == 2
+
     def test_compute_only_trace_upgraded_for_ideal(self):
         alg = get_algorithm("shared-opt")(MACHINE, 6, 6, 6)
         first = compiled_trace_for(alg, directives=False)

@@ -1,10 +1,20 @@
 """Tests for sweep machinery and result containers."""
 
+import copy
+import dataclasses
+
 import pytest
 
+from repro.algorithms.registry import ALGORITHMS
 from repro.exceptions import ConfigurationError
+from repro.sim import sweep as sweep_module
 from repro.sim.results import SweepResult
+from repro.sim.runner import run_experiment
 from repro.sim.sweep import order_sweep, ratio_sweep, resolve_entries, series_label
+
+#: Fig. 12's bandwidth ratios.
+RATIOS = [i / 20 for i in range(1, 20)]
+SIX_IDEAL = [(name, "ideal") for name in ALGORITHMS]
 
 
 class TestOrderSweep:
@@ -142,6 +152,95 @@ class TestRatioSweep:
             incl.series[label][0].ms,
             incl.series[label][0].md,
         )
+
+
+class TestRatioSweepDedup:
+    """Each distinct cell identity is simulated once per ``ratio_sweep``."""
+
+    #: Fields a reused cell may not share with a fresh run: wall time,
+    #: process id and the provenance mark itself.
+    NOT_COMPARED = {"elapsed_s", "worker", "trace_source"}
+
+    @pytest.mark.parametrize(
+        "entries, kwargs",
+        [
+            (SIX_IDEAL, {}),
+            (
+                [
+                    ("shared-opt", "lru"),
+                    ("shared-opt", "lru-2x"),
+                    ("shared-opt", "ideal"),
+                    ("tradeoff", "lru-50"),
+                ],
+                {},
+            ),
+            ([("tradeoff", "lru"), ("shared-opt", "lru-2x")], {"policy": "fifo"}),
+            ([("tradeoff", "lru")], {"inclusive": True}),
+            ([("tradeoff", "ideal"), ("shared-equal", "ideal")], {"check": True}),
+            ([("tradeoff", "lru"), ("shared-opt", "ideal")], {"engine": "replay"}),
+            ([("tradeoff", "ideal", {"alpha": 8})], {"total_bandwidth": 5.0}),
+        ],
+        ids=["ideal", "lru", "fifo", "inclusive", "check", "replay", "override"],
+    )
+    def test_every_cell_matches_a_fresh_run(self, paper_q32, entries, kwargs):
+        kwargs = dict(kwargs)
+        total = kwargs.pop("total_bandwidth", 2.0)
+        sweep = ratio_sweep(
+            entries, paper_q32, RATIOS, 8, total_bandwidth=total, **kwargs
+        )
+        reused = 0
+        for algorithm, setting, params, label in resolve_entries(entries):
+            for r, result in zip(RATIOS, sweep.series[label]):
+                fresh = run_experiment(
+                    algorithm,
+                    paper_q32.with_bandwidth_ratio(r, total=total),
+                    8,
+                    8,
+                    8,
+                    setting,
+                    **kwargs,
+                    **params,
+                )
+                for field in dataclasses.fields(fresh):
+                    if field.name not in self.NOT_COMPARED:
+                        assert getattr(result, field.name) == getattr(
+                            fresh, field.name
+                        ), (label, r, field.name)
+                assert result.tdata == fresh.tdata
+                if result.trace_source == "sweep":
+                    reused += 1
+                    assert result.elapsed_s == 0.0
+        assert reused > len(sweep.labels()) * len(RATIOS) // 2
+
+    def test_reused_results_do_not_alias(self, paper_q32):
+        sweep = ratio_sweep([("shared-opt", "ideal")], paper_q32, [0.2, 0.5, 0.8], 8)
+        first, middle, last = sweep.series["shared-opt ideal"]
+        assert middle.trace_source == last.trace_source == "sweep"
+        before = [copy.deepcopy((r.stats, r.comp)) for r in (first, last)]
+        middle.stats.shared.misses += 1
+        middle.stats.distributed[0].misses_by_matrix[2] += 1
+        middle.comp[0] += 1
+        assert [(r.stats, r.comp) for r in (first, last)] == before
+
+    def test_one_simulation_per_distinct_identity(self, paper_q32, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            result = run_experiment(*args, **kwargs)
+            plan = dict(result.parameters)
+            plan.pop("alpha_num", None)
+            calls.append((result.algorithm, tuple(sorted(plan.items()))))
+            return result
+
+        monkeypatch.setattr(sweep_module, "run_experiment", spy)
+        entries = SIX_IDEAL + [("shared-opt", "lru-50")]
+        sweep = ratio_sweep(entries, paper_q32, RATIOS, 13)
+        tradeoff_plans = {
+            (r.parameters["alpha"], r.parameters["beta"], r.parameters["mu"])
+            for r in sweep.series["tradeoff ideal"]
+        }
+        assert len(tradeoff_plans) > 1
+        assert len(calls) == len(set(calls)) == len(entries) - 1 + len(tradeoff_plans)
 
 
 class TestSweepResult:
