@@ -43,7 +43,8 @@ class Tradeoff(MatmulAlgorithm):
         Tile parameter overrides.  By default they come from
         :func:`repro.analysis.tradeoff_opt.optimal_parameters`, i.e.
         from the machine's bandwidth ratio.  Overrides must satisfy
-        ``α² + 2αβ ≤ CS``, ``1 + µ + µ² ≤ CD`` and ``√p·µ | α``.
+        ``α² + 2αβ ≤ CS``, ``1 + µ + µ² ≤ CD`` and ``√p·µ | α``.  ``beta``
+        needs ``alpha``: the optimizer picks β together with α.
     """
 
     name = "tradeoff"
@@ -66,6 +67,11 @@ class Tradeoff(MatmulAlgorithm):
         super().__init__(machine, m, n, z)
         s = machine.grid_side
         if alpha is None:
+            if beta is not None:
+                raise ParameterError(
+                    f"beta={beta} without alpha would be replaced by the "
+                    "optimizer's choice; pass alpha too"
+                )
             params = optimal_parameters(machine, mu=mu)
             alpha, beta, mu = params.alpha, params.beta, params.mu
             self._alpha_num = params.alpha_num

@@ -14,7 +14,9 @@ stops at order 96 to stay interactive, but every function takes an
 (the default of every sweep) makes the full axis reachable: the
 nightly ``full-figures`` CI pipeline regenerates Figs. 7–11 at order
 1100, sharding figures by panel (``panels_filter``) and fanning sweep
-cells over processes (``workers``).  All qualitative features of the
+cells over processes (``workers``) on the fault-tolerant sweep engine
+(:mod:`repro.sim.parallel`, largest order first, results identical to
+the serial figures).  All qualitative features of the
 figures — who wins, the LRU-vs-formula factor-≤2 envelope, the
 crossovers in the bandwidth sweep — are scale-free.
 """

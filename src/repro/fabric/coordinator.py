@@ -55,10 +55,18 @@ from typing import (
 
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.model.machine import MulticoreMachine
+from repro.sim.parallel import (
+    EntryTable,
+    GridCell,
+    assemble_sweep,
+    checkpoint_payload,
+    grid_cell_fingerprint,
+    order_sweep_grid,
+)
 from repro.sim.results import ExperimentResult, SweepResult
 from repro.sim.retrypolicy import BackoffPolicy
 from repro.sim.runner import reset_fallback_warnings
-from repro.sim.sweep import Entry, resolve_entries
+from repro.sim.sweep import Entry
 from repro.sim.telemetry import (
     STATUS_FAILED,
     STATUS_OK,
@@ -67,18 +75,14 @@ from repro.sim.telemetry import (
     FabricStats,
     RunManifest,
 )
-from repro.store.checkpoint import CheckpointWriter, cell_fingerprint
+from repro.store.checkpoint import CheckpointWriter
 from repro.store.rundir import (
     STATUS_COMPLETE,
     STATUS_INCOMPLETE,
     STATUS_RUNNING,
     RunStore,
 )
-from repro.store.serde import (
-    machine_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.store.serde import machine_to_dict, result_from_dict
 from repro.fabric.journal import (
     EVENT_DUPLICATE,
     EVENT_EXPIRE,
@@ -94,10 +98,6 @@ from repro.fabric.journal import (
 from repro.fabric.leases import LeaseTable
 from repro.fabric.protocol import encode_line, error_reply, read_message
 
-#: One coordinator cell, pool-engine shaped:
-#: (label, x-index, machine-index, m, n, z).
-FabricCell = Tuple[str, int, int, int, int, int]
-
 #: How long an idle worker is told to wait before asking again when
 #: every remaining cell is leased or backing off.
 _DEFAULT_WAIT_S = 0.5
@@ -112,9 +112,9 @@ class Coordinator:
         variable: str,
         xs: Sequence[Any],
         labels: Sequence[str],
-        cells: Sequence[FabricCell],
-        machines: Sequence[MulticoreMachine],
-        entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
+        cells: Sequence[GridCell],
+        machine: MulticoreMachine,
+        entries: EntryTable,
         run_dir: Union[str, Path],
         resume: bool = False,
         lease_s: float = 15.0,
@@ -132,7 +132,7 @@ class Coordinator:
         self.xs = list(xs)
         self.labels = list(labels)
         self.cells = list(cells)
-        self.machines = list(machines)
+        self.machine = machine
         self.entries = entries
         self.store = RunStore(run_dir)
         self.resume = resume
@@ -147,16 +147,15 @@ class Coordinator:
         self.records: Dict[Tuple[str, int], CellRecord] = {}
         self.fingerprints: Dict[Tuple[str, int], str] = {}
         self.fp_to_key: Dict[str, Tuple[str, int]] = {}
-        self.machine_idx: Dict[Tuple[str, int], int] = {}
         self.dims: Dict[Tuple[str, int], Tuple[int, int, int]] = {}
-        for label, index, midx, m, n, z in self.cells:
+        for cell in self.cells:
+            label, index, m, n, z = cell
             key = (label, index)
             self.records[key] = CellRecord(
                 label=label, index=index, x=self.xs[index], status=STATUS_SKIPPED
             )
-            self.machine_idx[key] = midx
             self.dims[key] = (m, n, z)
-            fp = self._cell_fp(key)
+            fp = grid_cell_fingerprint(entries, machine, variable, self.xs, cell)
             self.fingerprints[key] = fp
             self.fp_to_key[fp] = key
         self.results: Dict[Tuple[str, int], ExperimentResult] = {}
@@ -200,24 +199,6 @@ class Coordinator:
         stats = self.manifest.fabric
         assert stats is not None
         return stats
-
-    # -- identity -------------------------------------------------------
-    def _cell_fp(self, key: Tuple[str, int]) -> str:
-        """Deterministic result fingerprint of one cell (engine knobs excluded)."""
-        algorithm, setting, kwargs = self.entries[key[0]]
-        fp_kwargs = {k: v for k, v in kwargs.items() if k not in ("engine", "strict_engine")}
-        m, n, z = self.dims[key]
-        return cell_fingerprint(
-            algorithm=algorithm,
-            setting=setting,
-            kwargs=fp_kwargs,
-            machine=self.machines[self.machine_idx[key]],
-            variable=self.variable,
-            x=self.xs[key[1]],
-            m=m,
-            n=n,
-            z=z,
-        )
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> Tuple[str, int]:
@@ -299,7 +280,10 @@ class Coordinator:
             if self.writer is not None:
                 self.writer.close()
                 self.writer = None
-            sweep = self._assemble()
+            sweep = assemble_sweep(
+                self.variable, self.xs, self.labels, self.results, self.records,
+                self.manifest,
+            )
             counts = self.manifest.counts()
             self.manifest.write(self.store.manifest_path)
             if counts[STATUS_FAILED] or counts[STATUS_SKIPPED]:
@@ -454,24 +438,12 @@ class Coordinator:
         result: Optional[ExperimentResult] = None,
     ) -> None:
         """Flush one finalized cell to the checkpoint log (durable on return)."""
-        if self.writer is None:
-            return
-        record = self.records[key]
-        payload: Dict[str, Any] = {
-            "fp": self.fingerprints[key],
-            "label": key[0],
-            "index": key[1],
-            "x": self.xs[key[1]],
-            "status": status,
-            "attempts": record.attempts,
-            "wall_s": round(record.wall_s, 6),
-        }
-        if result is not None:
-            payload["result"] = result_to_dict(result)
-        else:
-            payload["error_type"] = record.error_type
-            payload["error"] = record.error
-        self.writer.append(payload)
+        if self.writer is not None:
+            self.writer.append(
+                checkpoint_payload(
+                    self.fingerprints[key], self.records[key], status, result
+                )
+            )
 
     def _journal_terminal(
         self, key: Tuple[str, int], status: str, *, resumed: bool = False
@@ -601,7 +573,7 @@ class Coordinator:
                 "algorithm": algorithm,
                 "setting": setting,
                 "kwargs": dict(kwargs),
-                "machine": machine_to_dict(self.machines[self.machine_idx[key]]),
+                "machine": machine_to_dict(self.machine),
                 "m": m,
                 "n": n,
                 "z": z,
@@ -736,25 +708,6 @@ class Coordinator:
             "fabric": self.fabric.to_dict(),
         }
 
-    # -- assembly -------------------------------------------------------
-    def _assemble(self) -> SweepResult:
-        sweep = SweepResult(variable=self.variable, xs=list(self.xs))
-        buckets: Dict[str, List[Optional[ExperimentResult]]] = {
-            label: [None] * len(self.xs) for label in self.labels
-        }
-        for (label, index), result in self.results.items():
-            buckets[label][index] = result
-        for label in self.labels:
-            sweep.add(label, buckets[label])
-        self.manifest.cells = list(self.records.values())
-        sweep.failures = [
-            record
-            for record in self.records.values()
-            if record.status != STATUS_OK
-        ]
-        sweep.manifest = self.manifest
-        return sweep
-
 
 class _FabricHandler(socketserver.StreamRequestHandler):
     """One request, one reply, close — the whole TCP surface."""
@@ -811,35 +764,29 @@ def fabric_order_sweep(
 ) -> Coordinator:
     """Build (but do not start) a coordinator for an order sweep.
 
-    The cell grid matches :func:`repro.sim.parallel.parallel_order_sweep`
-    exactly — same labels, fingerprints and checkpoint payloads — so a
-    fabric run directory can be inspected, verified and even resumed by
-    the pool engine, and vice versa.
+    The cell grid is :func:`repro.sim.parallel.parallel_order_sweep`'s
+    (:func:`~repro.sim.parallel.order_sweep_grid`) — same labels,
+    fingerprints and checkpoint payloads — so a fabric run directory
+    can be inspected, verified and even resumed by the pool engine, and
+    vice versa.
     """
     reset_fallback_warnings()
-    resolved = resolve_entries(entries)
-    labels = [label for _a, _s, _p, label in resolved]
-    entry_table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
-    cells: List[FabricCell] = []
-    for algorithm, setting, params, label in resolved:
-        kwargs: Dict[str, Any] = dict(
-            check=check,
-            inclusive=inclusive,
-            policy=policy,
-            engine=engine,
-            strict_engine=strict_engine,
-            **params,
-        )
-        entry_table[label] = (algorithm, setting, kwargs)
-        for index, order in enumerate(orders):
-            cells.append((label, index, 0, order, order, order))
+    labels, table, cells = order_sweep_grid(
+        entries,
+        orders,
+        check=check,
+        inclusive=inclusive,
+        policy=policy,
+        engine=engine,
+        strict_engine=strict_engine,
+    )
     return Coordinator(
         variable="order",
         xs=list(orders),
         labels=labels,
         cells=cells,
-        machines=[machine],
-        entries=entry_table,
+        machine=machine,
+        entries=table,
         run_dir=run_dir,
         resume=resume,
         lease_s=lease_s,

@@ -2,8 +2,10 @@
 
 Simulating one experiment is inherently sequential (a cache's state is
 a chain), but a *sweep* is embarrassingly parallel: every
-(algorithm, setting, order) cell is independent.  This module fans the
-cells of :func:`repro.sim.sweep.order_sweep` out over a
+(algorithm, setting, order) cell is independent.  This module is the
+only process pool for order sweeps: it runs
+:func:`repro.sim.sweep.order_sweep` with ``workers > 1`` (and so the
+figures) and ``repro-mmm sweep --workers``, fanning cells over a
 :class:`~concurrent.futures.ProcessPoolExecutor` — successful cells are
 bit-identical to the serial version (tests assert it), only wall-clock
 changes.  Bandwidth-ratio sweeps stay serial:
@@ -13,10 +15,12 @@ once per sweep, which beats dispatching every ratio to a pool.
 Unlike a bare ``pool.map``, the engine treats the pool as unreliable
 infrastructure:
 
-* **Bounded in-flight dispatch** — at most ``workers`` chunk tasks are
-  outstanding, so every submitted task starts immediately and per-task
-  deadlines are meaningful.
-* **Shared state ships once** — the machine(s), the per-series
+* **Largest first, bounded in flight** — cells are dispatched in
+  descending ``m·n·z`` order, so the paper-scale cells never queue
+  behind trivia, and at most ``workers`` chunk tasks are outstanding,
+  so every submitted task starts immediately and per-task deadlines
+  are meaningful.
+* **Shared state ships once** — the machine, the per-series
   algorithm/setting/kwargs table and the fault plan travel through the
   pool *initializer*, not with every cell; a submitted cell is a tiny
   index tuple, and first-round cells are submitted in chunks to
@@ -86,7 +90,7 @@ from repro.exceptions import ConfigurationError
 from repro.model.machine import MulticoreMachine
 from repro.sim.faults import FaultPlan, fire
 from repro.sim.results import ExperimentResult, SweepResult
-from repro.sim.retrypolicy import PERMANENT_ERRORS, BackoffPolicy
+from repro.sim.retrypolicy import BackoffPolicy, is_retryable
 from repro.sim.runner import reset_fallback_warnings, run_experiment
 from repro.sim.sweep import Entry, resolve_entries
 from repro.sim.telemetry import (
@@ -106,18 +110,22 @@ from repro.store.rundir import (
 )
 from repro.store.serde import result_from_dict, result_to_dict
 
-#: One submitted cell: (label, x-index, machine-index, m, n, z, attempt).
-#: Everything heavy is resolved worker-side from the initializer state.
-CellSpec = Tuple[str, int, int, int, int, int, int]
+#: Per-series ``run_experiment`` arguments: label -> (algorithm,
+#: setting, kwargs).  Ships once per worker through the initializer.
+EntryTable = Dict[str, Tuple[str, str, Dict[str, Any]]]
+
+#: One cell of a sweep grid: (label, x-index, m, n, z).  The pool
+#: engine and the fabric coordinator share this layout.
+GridCell = Tuple[str, int, int, int, int]
+
+#: One submitted cell: a grid cell plus its attempt number.  Everything
+#: heavy is resolved worker-side from the initializer state.
+CellSpec = Tuple[str, int, int, int, int, int]
 
 #: One per-cell outcome reported by a worker:
 #: (label, index, ok, payload, pid, wall_s).  ``payload`` is the
 #: ExperimentResult when ok, else (error_type, error_message, retryable).
 CellOutcome = Tuple[str, int, bool, Any, int, float]
-
-#: Errors that re-running cannot fix (shared with the fabric engine;
-#: see :mod:`repro.sim.retrypolicy`).
-_PERMANENT_ERRORS = PERMANENT_ERRORS
 
 #: Failure types that mark a cell as a suspected worker-killer: the
 #: in-process fallback refuses to re-run these (a crash would take the
@@ -133,25 +141,25 @@ _SIGNAL_POLL_S = 0.25
 # Worker side
 # ----------------------------------------------------------------------
 #: Per-sweep state installed once per worker by the pool initializer.
-_WORKER_MACHINES: Sequence[MulticoreMachine] = ()
-_WORKER_ENTRIES: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
+_WORKER_MACHINE: MulticoreMachine
+_WORKER_ENTRIES: EntryTable = {}
 _WORKER_FAULTS: Optional[FaultPlan] = None
 
 
 def _init_worker(
-    machines: Sequence[MulticoreMachine],
-    entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
+    machine: MulticoreMachine,
+    entries: EntryTable,
     fault_plan: Optional[FaultPlan],
     trace_tier: Optional[str] = None,
 ) -> None:
     """Pool initializer: receive the shared per-sweep state exactly once."""
-    global _WORKER_MACHINES, _WORKER_ENTRIES, _WORKER_FAULTS
-    _WORKER_MACHINES = machines
+    global _WORKER_MACHINE, _WORKER_ENTRIES, _WORKER_FAULTS
+    _WORKER_MACHINE = machine
     _WORKER_ENTRIES = entries
     _WORKER_FAULTS = fault_plan
-    # Workers of a store-backed sweep share compiled traces through the
-    # run dir's on-disk tier: the first worker to need a trace compiles
-    # and stores it, siblings memmap it instead of recompiling.
+    # Workers share compiled traces through the host's on-disk tier (a
+    # store-backed sweep's run dir): the first worker to need a trace
+    # compiles and stores it, siblings memmap it instead of recompiling.
     replay_engine.configure_trace_tier(trace_tier)
     # A store-backed engine traps SIGINT/SIGTERM in the host process —
     # and forked workers inherit those handlers.  A worker that treats
@@ -170,8 +178,8 @@ def _init_worker(
 
 def _execute_cells(
     cells: Sequence[CellSpec],
-    machines: Sequence[MulticoreMachine],
-    entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
+    machine: MulticoreMachine,
+    entries: EntryTable,
     fault_plan: Optional[FaultPlan],
 ) -> List[CellOutcome]:
     """Run a chunk of cells against explicit state; never raises for a
@@ -179,22 +187,20 @@ def _execute_cells(
     take its chunk-mates' results with it."""
     pid = os.getpid()
     outcomes: List[CellOutcome] = []
-    for label, index, machine_idx, m, n, z, attempt in cells:
+    for label, index, m, n, z, attempt in cells:
         start = time.perf_counter()
         try:
             spec = fault_plan.get((label, index)) if fault_plan else None
             if spec is not None:
                 fire(spec, attempt)
             algorithm, setting, kwargs = entries[label]
-            result = run_experiment(
-                algorithm, machines[machine_idx], m, n, z, setting, **kwargs
-            )
+            result = run_experiment(algorithm, machine, m, n, z, setting, **kwargs)
             result.attempts = attempt
             outcomes.append(
                 (label, index, True, result, pid, time.perf_counter() - start)
             )
         except Exception as exc:  # noqa: BLE001 — cell isolation is the point
-            retryable = not isinstance(exc, _PERMANENT_ERRORS)
+            retryable = is_retryable(exc)
             outcomes.append(
                 (
                     label,
@@ -210,7 +216,122 @@ def _execute_cells(
 
 def _run_chunk(cells: Sequence[CellSpec]) -> List[CellOutcome]:
     """Worker entry point: run one chunk against the initializer state."""
-    return _execute_cells(cells, _WORKER_MACHINES, _WORKER_ENTRIES, _WORKER_FAULTS)
+    return _execute_cells(cells, _WORKER_MACHINE, _WORKER_ENTRIES, _WORKER_FAULTS)
+
+
+# ----------------------------------------------------------------------
+# The order-sweep grid, shared with the fabric coordinator
+# ----------------------------------------------------------------------
+def order_sweep_grid(
+    entries: Iterable[Entry],
+    orders: Sequence[int],
+    *,
+    check: bool,
+    inclusive: bool,
+    policy: str,
+    engine: str,
+    strict_engine: bool,
+) -> Tuple[List[str], EntryTable, List[GridCell]]:
+    """An order sweep's series labels, entry table and cells.
+
+    The pool engine and the fabric coordinator both build their cells
+    here and fingerprint them with :func:`grid_cell_fingerprint`, so
+    their labels, fingerprints and checkpoint payloads agree and either
+    can resume the other's run directory.
+    """
+    labels: List[str] = []
+    table: EntryTable = {}
+    cells: List[GridCell] = []
+    for algorithm, setting, params, label in resolve_entries(entries):
+        labels.append(label)
+        table[label] = (
+            algorithm,
+            setting,
+            dict(
+                check=check,
+                inclusive=inclusive,
+                policy=policy,
+                engine=engine,
+                strict_engine=strict_engine,
+                **params,
+            ),
+        )
+        cells.extend(
+            (label, index, order, order, order) for index, order in enumerate(orders)
+        )
+    return labels, table, cells
+
+
+def grid_cell_fingerprint(
+    entries: EntryTable,
+    machine: MulticoreMachine,
+    variable: str,
+    xs: Sequence[Any],
+    cell: GridCell,
+) -> str:
+    """Deterministic result fingerprint of one grid cell.
+
+    ``engine``/``strict_engine`` are left out: they choose
+    bit-identical code paths, so a run dir resumes under either engine.
+    """
+    label, index, m, n, z = cell
+    algorithm, setting, kwargs = entries[label]
+    fp_kwargs = {k: v for k, v in kwargs.items() if k not in ("engine", "strict_engine")}
+    return cell_fingerprint(
+        algorithm=algorithm,
+        setting=setting,
+        kwargs=fp_kwargs,
+        machine=machine,
+        variable=variable,
+        x=xs[index],
+        m=m,
+        n=n,
+        z=z,
+    )
+
+
+def checkpoint_payload(
+    fp: str,
+    record: CellRecord,
+    status: str,
+    result: Optional[ExperimentResult] = None,
+) -> Dict[str, Any]:
+    """The checkpoint-log record of one finalized cell (both executors)."""
+    payload: Dict[str, Any] = {
+        "fp": fp,
+        "label": record.label,
+        "index": record.index,
+        "x": record.x,
+        "status": status,
+        "attempts": record.attempts,
+        "wall_s": round(record.wall_s, 6),
+    }
+    if result is not None:
+        payload["result"] = result_to_dict(result)
+    else:
+        payload["error_type"] = record.error_type
+        payload["error"] = record.error
+    return payload
+
+
+def assemble_sweep(
+    variable: str,
+    xs: Sequence[Any],
+    labels: Sequence[str],
+    results: Dict[Tuple[str, int], ExperimentResult],
+    records: Dict[Tuple[str, int], CellRecord],
+    manifest: RunManifest,
+) -> SweepResult:
+    """Fold per-cell results and records into a :class:`SweepResult`;
+    cells without a result are ``None`` holes named in ``failures``."""
+    sweep = SweepResult(variable=variable, xs=list(xs))
+    for label in labels:
+        sweep.add(label, [results.get((label, index)) for index in range(len(xs))])
+    manifest.cells = list(records.values())
+    sweep.failures = [r for r in records.values() if r.status != STATUS_OK]
+    sweep.manifest = manifest
+    sweep.interrupted = manifest.interrupted
+    return sweep
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +379,9 @@ class _SweepEngine:
         variable: str,
         xs: Sequence[Any],
         labels: Sequence[str],
-        cells: Sequence[CellSpec],
-        machines: Sequence[MulticoreMachine],
-        entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
+        cells: Sequence[GridCell],
+        machine: MulticoreMachine,
+        entries: EntryTable,
         workers: int,
         cell_timeout: Optional[float],
         retries: int,
@@ -286,7 +407,7 @@ class _SweepEngine:
         self.variable = variable
         self.xs = list(xs)
         self.labels = list(labels)
-        self.machines = list(machines)
+        self.machine = machine
         self.entries = entries
         self.workers = workers
         self.cell_timeout = cell_timeout
@@ -299,10 +420,13 @@ class _SweepEngine:
         self.store = store
         self.resume = resume
         self.drain_grace_s = drain_grace_s
-        #: On-disk compiled-trace tier shared by host + workers (under
-        #: the run dir, so it lives and dies with the run artifacts).
+        #: On-disk compiled-trace tier shared by host + workers: under
+        #: the run dir (so it lives and dies with the run artifacts),
+        #: else whatever tier the host has configured.
         self.trace_tier: Optional[str] = (
-            str(store.root / "traces") if store is not None else None
+            str(store.root / "traces")
+            if store is not None
+            else replay_engine.trace_tier_root()
         )
         self.writer: Optional[CheckpointWriter] = None
         #: Signal number once SIGINT/SIGTERM asked the run to drain.
@@ -328,12 +452,20 @@ class _SweepEngine:
 
         self.fingerprints: Dict[Tuple[str, int], str] = {}
         if store is not None:
-            for spec in cells:
-                self.fingerprints[(spec[0], spec[1])] = self._cell_fp(spec)
+            for cell in cells:
+                self.fingerprints[(cell[0], cell[1])] = grid_cell_fingerprint(
+                    entries, machine, variable, self.xs, cell
+                )
             if resume:
                 self._restore_from_checkpoint()
 
-        pending = [s for s in cells if (s[0], s[1]) in self.outstanding]
+        # Largest cells (by m·n·z) first, so paper-scale cells never
+        # queue behind trivia; the sort is stable, so equal sizes keep
+        # grid order.
+        pending: List[CellSpec] = sorted(
+            (cell + (1,) for cell in cells if (cell[0], cell[1]) in self.outstanding),
+            key=lambda spec: -(spec[2] * spec[3] * spec[4]),
+        )
         if chunksize is None:
             chunksize = max(1, len(pending) // (workers * 4))
         self.chunksize = max(1, chunksize)
@@ -348,23 +480,6 @@ class _SweepEngine:
         self.inflight: Dict[Future[List[CellOutcome]], Tuple[List[CellSpec], Optional[float]]] = {}
 
     # -- durability -----------------------------------------------------
-    def _cell_fp(self, spec: CellSpec) -> str:
-        """Deterministic result fingerprint of one cell (engine knobs excluded)."""
-        label, index, machine_idx, m, n, z, _attempt = spec
-        algorithm, setting, kwargs = self.entries[label]
-        fp_kwargs = {k: v for k, v in kwargs.items() if k not in ("engine", "strict_engine")}
-        return cell_fingerprint(
-            algorithm=algorithm,
-            setting=setting,
-            kwargs=fp_kwargs,
-            machine=self.machines[machine_idx],
-            variable=self.variable,
-            x=self.xs[index],
-            m=m,
-            n=n,
-            z=z,
-        )
-
     def _restore_from_checkpoint(self) -> None:
         """Reload ``ok`` cells from the run directory's checkpoint log.
 
@@ -409,24 +524,12 @@ class _SweepEngine:
         result: Optional[ExperimentResult] = None,
     ) -> None:
         """Flush one finalized cell to the checkpoint log (durable on return)."""
-        if self.writer is None:
-            return
-        record = self.records[key]
-        payload: Dict[str, Any] = {
-            "fp": self.fingerprints[key],
-            "label": key[0],
-            "index": key[1],
-            "x": self.xs[key[1]],
-            "status": status,
-            "attempts": record.attempts,
-            "wall_s": round(record.wall_s, 6),
-        }
-        if result is not None:
-            payload["result"] = result_to_dict(result)
-        else:
-            payload["error_type"] = record.error_type
-            payload["error"] = record.error
-        self.writer.append(payload)
+        if self.writer is not None:
+            self.writer.append(
+                checkpoint_payload(
+                    self.fingerprints[key], self.records[key], status, result
+                )
+            )
 
     # -- signals ---------------------------------------------------------
     def _on_signal(self, signum: int, _frame: Any) -> None:
@@ -499,7 +602,7 @@ class _SweepEngine:
         if key not in self.outstanding:
             return  # already finalized (defensive: stale duplicate)
         record = self.records[key]
-        attempt = spec[6]
+        attempt = spec[5]
         record.attempts = max(record.attempts, attempt)
         record.wall_s += wall
         record.error_type = error_type
@@ -508,7 +611,7 @@ class _SweepEngine:
             record.worker = pid
         if retryable and attempt <= self.retries:
             delay = self.backoff_policy.delay(attempt, key=f"{label}:{index}")
-            retry_spec = spec[:6] + (attempt + 1,)
+            retry_spec = spec[:5] + (attempt + 1,)
             self.waiting_retry.append((time.monotonic() + delay, retry_spec))
         else:
             record.status = STATUS_FAILED
@@ -516,10 +619,8 @@ class _SweepEngine:
             self._checkpoint(key, STATUS_FAILED)
 
     def _skip(
-        self, spec: CellSpec, reason: str, *, error_type: str = "Skipped"
+        self, key: Tuple[str, int], reason: str, *, error_type: str = "Skipped"
     ) -> None:
-        label, index = spec[0], spec[1]
-        key = (label, index)
         if key not in self.outstanding:
             return
         record = self.records[key]
@@ -539,7 +640,7 @@ class _SweepEngine:
                 max_workers=self.workers,
                 initializer=_init_worker,
                 initargs=(
-                    self.machines,
+                    self.machine,
                     self.entries,
                     self.fault_plan,
                     self.trace_tier,
@@ -604,7 +705,7 @@ class _SweepEngine:
                 continue
             if self.interrupt is not None:
                 self._skip(
-                    spec,
+                    key,
                     f"interrupted by {self._signal_name()} before the cell ran",
                     error_type="Interrupted",
                 )
@@ -612,18 +713,16 @@ class _SweepEngine:
             record = self.records[key]
             if record.error_type in _WORKER_KILLER_ERRORS:
                 self._skip(
-                    spec,
+                    key,
                     "not re-run in-process: previous attempt crashed or "
                     "hung a worker",
                 )
                 continue
-            attempt = spec[6]
+            attempt = spec[5]
             while key in self.outstanding and self.interrupt is None:
+                serial_spec = spec[:5] + (attempt,)
                 outcome = _execute_cells(
-                    [spec[:6] + (attempt,)],
-                    self.machines,
-                    self.entries,
-                    self.fault_plan,
+                    [serial_spec], self.machine, self.entries, self.fault_plan
                 )[0]
                 label, index, ok, payload, pid, wall = outcome
                 self.manifest.record_execution(pid, wall)
@@ -631,7 +730,6 @@ class _SweepEngine:
                     self._finalize_ok(label, index, payload, pid, wall)
                 else:
                     error_type, error, retryable = payload
-                    serial_spec = spec[:6] + (attempt,)
                     if retryable and attempt <= self.retries:
                         time.sleep(
                             self.backoff_policy.delay(attempt, key=f"{label}:{index}")
@@ -656,15 +754,8 @@ class _SweepEngine:
         try:
             if self.outstanding:
                 pool = self._make_pool()
-                if pool is None and self.serial_fallback:
-                    self._run_serial_fallback()
-                elif pool is None:
-                    for key in sorted(self.outstanding):
-                        record = self.records[key]
-                        record.error_type = "PoolUnavailable"
-                        record.error = "process pool could not be created"
-                        self.outstanding.discard(key)
-                        self._checkpoint(key, STATUS_SKIPPED)
+                if pool is None:
+                    self._degrade()
                 else:
                     try:
                         self._dispatch_loop(pool)
@@ -674,7 +765,7 @@ class _SweepEngine:
                 self.manifest.interrupted = self._signal_name()
                 for key in sorted(self.outstanding):
                     self._skip(
-                        self._spec_for(key),
+                        key,
                         f"interrupted by {self._signal_name()}",
                         error_type="Interrupted",
                     )
@@ -686,7 +777,10 @@ class _SweepEngine:
                 self.writer.close()
                 self.writer = None
         self.manifest.elapsed_s = time.perf_counter() - started
-        sweep = self._assemble()
+        sweep = assemble_sweep(
+            self.variable, self.xs, self.labels, self.results, self.records,
+            self.manifest,
+        )
         self._finalize_store()
         return sweep
 
@@ -776,16 +870,8 @@ class _SweepEngine:
 
             if broken:
                 self._handle_broken_pool()
-                _kill_pool(pool)
-                replacement = self._make_pool()
+                replacement = self._replace_pool(pool)
                 if replacement is None:
-                    if self.serial_fallback:
-                        self._run_serial_fallback()
-                    else:
-                        for key in sorted(self.outstanding):
-                            self._skip(
-                                self._spec_for(key), "process pool unavailable"
-                            )
                     return
                 pool = replacement
                 continue
@@ -805,16 +891,8 @@ class _SweepEngine:
             pool_broke = self._process_done(done)
             if pool_broke:
                 self._handle_broken_pool()
-                _kill_pool(pool)
-                replacement = self._make_pool()
+                replacement = self._replace_pool(pool)
                 if replacement is None:
-                    if self.serial_fallback:
-                        self._run_serial_fallback()
-                    else:
-                        for key in sorted(self.outstanding):
-                            self._skip(
-                                self._spec_for(key), "process pool unavailable"
-                            )
                     return
                 pool = replacement
                 continue
@@ -827,23 +905,26 @@ class _SweepEngine:
             ]
             if overdue:
                 self._handle_timeouts(overdue)
-                _kill_pool(pool)
-                replacement = self._make_pool()
+                replacement = self._replace_pool(pool)
                 if replacement is None:
-                    if self.serial_fallback:
-                        self._run_serial_fallback()
-                    else:
-                        for key in sorted(self.outstanding):
-                            self._skip(
-                                self._spec_for(key), "process pool unavailable"
-                            )
                     return
                 pool = replacement
 
-    def _spec_for(self, key: Tuple[str, int]) -> CellSpec:
-        """Reconstruct a minimal spec for bookkeeping-only paths."""
-        record = self.records[key]
-        return (key[0], key[1], 0, 0, 0, 0, max(record.attempts, 1))
+    def _replace_pool(self, pool: Executor) -> Optional[Executor]:
+        """Kill ``pool`` and build a fresh one; ``None`` once degraded."""
+        _kill_pool(pool)
+        replacement = self._make_pool()
+        if replacement is None:
+            self._degrade()
+        return replacement
+
+    def _degrade(self) -> None:
+        """No pool can be built: run the rest in-process, or skip it all."""
+        if self.serial_fallback:
+            self._run_serial_fallback()
+            return
+        for key in sorted(self.outstanding):
+            self._skip(key, "process pool unavailable", error_type="PoolUnavailable")
 
     def _wait_some(self) -> List[Future[List[CellOutcome]]]:
         """Block until progress: a completion, a deadline, or a due retry."""
@@ -924,72 +1005,6 @@ class _SweepEngine:
                         )
         return pool_broke
 
-    def _assemble(self) -> SweepResult:
-        sweep = SweepResult(variable=self.variable, xs=list(self.xs))
-        buckets: Dict[str, List[Optional[ExperimentResult]]] = {
-            label: [None] * len(self.xs) for label in self.labels
-        }
-        for (label, index), result in self.results.items():
-            buckets[label][index] = result
-        for label in self.labels:
-            sweep.add(label, buckets[label])
-        self.manifest.cells = list(self.records.values())
-        sweep.failures = [
-            record
-            for record in self.records.values()
-            if record.status != STATUS_OK
-        ]
-        sweep.manifest = self.manifest
-        sweep.interrupted = self.manifest.interrupted
-        return sweep
-
-
-def _run_engine_sweep(
-    *,
-    variable: str,
-    xs: Sequence[Any],
-    labels: Sequence[str],
-    cells: Sequence[CellSpec],
-    machines: Sequence[MulticoreMachine],
-    entries: Dict[str, Tuple[str, str, Dict[str, Any]]],
-    workers: Optional[int],
-    cell_timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    chunksize: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    serial_fallback: bool,
-    manifest_path: Optional[Union[str, Path]],
-    pool_factory: Optional[Callable[..., Executor]],
-    run_dir: Optional[Union[str, Path]],
-    resume: bool,
-    drain_grace_s: float,
-) -> SweepResult:
-    if resume and run_dir is None:
-        raise ConfigurationError("resume=True requires a run_dir")
-    engine = _SweepEngine(
-        variable=variable,
-        xs=xs,
-        labels=labels,
-        cells=cells,
-        machines=machines,
-        entries=entries,
-        workers=_resolve_workers(workers),
-        cell_timeout=cell_timeout,
-        retries=retries,
-        backoff=backoff,
-        chunksize=chunksize,
-        fault_plan=fault_plan,
-        serial_fallback=serial_fallback,
-        pool_factory=pool_factory,
-        store=RunStore(run_dir) if run_dir is not None else None,
-        resume=resume,
-        drain_grace_s=drain_grace_s,
-    )
-    sweep = engine.run()
-    if manifest_path is not None and sweep.manifest is not None:
-        sweep.manifest.write(manifest_path)
-    return sweep
 
 
 # ----------------------------------------------------------------------
@@ -1024,40 +1039,37 @@ def parallel_order_sweep(
     ``resume=True`` reloads completed cells from that directory and
     dispatches only the rest (see ``docs/RUNSTORE.md``).
     """
+    if resume and run_dir is None:
+        raise ConfigurationError("resume=True requires a run_dir")
     reset_fallback_warnings()
-    resolved = resolve_entries(entries)
-    labels = [label for _a, _s, _p, label in resolved]
-    entry_table: Dict[str, Tuple[str, str, Dict[str, Any]]] = {}
-    cells: List[CellSpec] = []
-    for algorithm, setting, params, label in resolved:
-        kwargs: Dict[str, Any] = dict(
-            check=check,
-            inclusive=inclusive,
-            policy=policy,
-            engine=engine,
-            strict_engine=strict_engine,
-            **params,
-        )
-        entry_table[label] = (algorithm, setting, kwargs)
-        for index, order in enumerate(orders):
-            cells.append((label, index, 0, order, order, order, 1))
-    return _run_engine_sweep(
+    labels, table, cells = order_sweep_grid(
+        entries,
+        orders,
+        check=check,
+        inclusive=inclusive,
+        policy=policy,
+        engine=engine,
+        strict_engine=strict_engine,
+    )
+    sweep = _SweepEngine(
         variable="order",
-        xs=list(orders),
+        xs=orders,
         labels=labels,
         cells=cells,
-        machines=[machine],
-        entries=entry_table,
-        workers=workers,
+        machine=machine,
+        entries=table,
+        workers=_resolve_workers(workers),
         cell_timeout=cell_timeout,
         retries=retries,
         backoff=backoff,
         chunksize=chunksize,
         fault_plan=fault_plan,
         serial_fallback=serial_fallback,
-        manifest_path=manifest_path,
         pool_factory=pool_factory,
-        run_dir=run_dir,
+        store=RunStore(run_dir) if run_dir is not None else None,
         resume=resume,
         drain_grace_s=drain_grace_s,
-    )
+    ).run()
+    if manifest_path is not None and sweep.manifest is not None:
+        sweep.manifest.write(manifest_path)
+    return sweep

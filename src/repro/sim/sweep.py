@@ -14,8 +14,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithms.registry import get_algorithm
 from repro.analysis.formulas import FORMULAS, predict
-from repro.cache import replay as replay_engine
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.model.machine import MulticoreMachine
 from repro.sim.results import ExperimentResult, SweepResult
 from repro.sim.runner import reset_fallback_warnings, run_experiment
@@ -58,15 +57,18 @@ def resolve_entries(
 ) -> List[Tuple[str, str, Dict[str, Any], str]]:
     """Unpack entries and assign each its unique series label.
 
-    Raises :class:`~repro.exceptions.ConfigurationError` when two
-    entries collapse to the same label (same algorithm, setting *and*
-    parameter overrides) — running a true duplicate would silently
-    discard one entry's results.
+    Raises :class:`~repro.exceptions.ConfigurationError` for an unknown
+    algorithm or setting name — before any cell runs or any pool
+    starts — and when two entries collapse to the same label (same
+    algorithm, setting *and* parameter overrides): running a true
+    duplicate would silently discard one entry's results.
     """
     resolved: List[Tuple[str, str, Dict[str, Any], str]] = []
     seen: Dict[str, int] = {}
     for position, entry in enumerate(entries):
         algorithm, setting, params = _unpack(entry)
+        get_algorithm(algorithm)
+        get_setting(setting)
         label = series_label(algorithm, setting, params)
         if label in seen:
             raise ConfigurationError(
@@ -77,55 +79,6 @@ def resolve_entries(
         seen[label] = position
         resolved.append((algorithm, setting, params, label))
     return resolved
-
-
-#: One (entry, order) cell shipped to a pool worker: the trace-tier
-#: root plus every ``run_experiment`` argument.
-_CellTask = Tuple[
-    Optional[str],
-    str,
-    MulticoreMachine,
-    int,
-    str,
-    bool,
-    bool,
-    str,
-    str,
-    bool,
-    Dict[str, Any],
-]
-
-
-def _pool_cell(task: _CellTask) -> ExperimentResult:
-    """Evaluate one sweep cell in a pool worker process."""
-    (
-        tier,
-        algorithm,
-        machine,
-        order,
-        setting,
-        check,
-        inclusive,
-        policy,
-        engine,
-        strict_engine,
-        params,
-    ) = task
-    replay_engine.configure_trace_tier(tier)
-    return run_experiment(
-        algorithm,
-        machine,
-        order,
-        order,
-        order,
-        setting,
-        check=check,
-        inclusive=inclusive,
-        policy=policy,
-        engine=engine,
-        strict_engine=strict_engine,
-        **params,
-    )
 
 
 def order_sweep(
@@ -151,46 +104,42 @@ def order_sweep(
     reproduce is warned about once per sweep and falls back to the
     step engine — or raises, with ``strict_engine=True``.
 
-    With ``workers > 1`` the (entry, order) cells fan out over a
-    process pool, largest order first so the paper-scale cells never
-    queue behind trivia.  Results are identical to the serial sweep
-    (every cell is an independent ``run_experiment`` call); the
-    in-process trace memo is per worker, so cross-setting trace reuse
-    happens only through the on-disk tier when one is configured.
+    With ``workers > 1`` the cells run on the fault-tolerant sweep
+    engine (:func:`repro.sim.parallel.parallel_order_sweep`), one cell
+    per task, largest order first so the paper-scale cells never queue
+    behind trivia.  Results are identical to the serial sweep (every
+    cell is an independent ``run_experiment`` call); the in-process
+    trace memo is per worker, so cross-setting trace reuse happens only
+    through the on-disk tier when one is configured.  The contract stays
+    the serial one: every cell has a result, or the call raises — a
+    cell that failed or was skipped after the engine's retries raises
+    :class:`~repro.exceptions.ReproError` naming the cell and its error.
     """
-    reset_fallback_warnings()
-    sweep = SweepResult(variable="order", xs=list(orders))
     resolved = resolve_entries(entries)
     if workers > 1:
-        from concurrent.futures import Future, ProcessPoolExecutor
+        from repro.sim.parallel import parallel_order_sweep
 
-        tier = replay_engine.trace_tier_root()
-        tasks: List[_CellTask] = [
-            (
-                tier,
-                algorithm,
-                machine,
-                order,
-                setting,
-                check,
-                inclusive,
-                policy,
-                engine,
-                strict_engine,
-                params,
+        parallel = parallel_order_sweep(
+            [(algorithm, setting, params) for algorithm, setting, params, _ in resolved],
+            machine,
+            orders,
+            workers=workers,
+            chunksize=1,  # never two paper-scale cells in one task
+            check=check,
+            inclusive=inclusive,
+            policy=policy,
+            engine=engine,
+            strict_engine=strict_engine,
+        )
+        for record in parallel.failures:
+            raise ReproError(
+                f"order sweep cell {record.label!r} at order {record.x} "
+                f"{record.status} after {record.attempts} attempt(s): "
+                f"{record.error_type}: {record.error}"
             )
-            for algorithm, setting, params, _ in resolved
-            for order in orders
-        ]
-        futures: Dict[int, "Future[ExperimentResult]"] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index in sorted(range(len(tasks)), key=lambda i: -tasks[i][3]):
-                futures[index] = pool.submit(_pool_cell, tasks[index])
-            flat = [futures[i].result() for i in range(len(tasks))]
-        for position, (_, _, _, label) in enumerate(resolved):
-            start = position * len(orders)
-            sweep.add(label, list(flat[start : start + len(orders)]))
-        return sweep
+        return parallel
+    reset_fallback_warnings()
+    sweep = SweepResult(variable="order", xs=list(orders))
     for algorithm, setting, params, label in resolved:
         results: List[Optional[ExperimentResult]] = [
             run_experiment(

@@ -7,6 +7,7 @@ from repro.exceptions import ParameterError
 from repro.model.machine import MulticoreMachine
 from repro.numerics.executor import verify_schedule
 from repro.sim.runner import run_experiment
+from repro.sim.sweep import order_sweep
 
 
 class TestParameters:
@@ -38,6 +39,14 @@ class TestParameters:
         alg = Tradeoff(paper_q32, 16, 16, 16, alpha=16)
         # beta = floor((977 - 256) / 32) = 22
         assert alg.beta == 22
+
+    def test_beta_without_alpha_rejected(self, paper_q32):
+        # The optimizer picks beta with alpha; silently replacing the
+        # override would simulate the default plan under a beta=3 label.
+        with pytest.raises(ParameterError, match="pass alpha too"):
+            Tradeoff(paper_q32, 8, 8, 8, beta=3)
+        with pytest.raises(ParameterError, match="pass alpha too"):
+            order_sweep([("tradeoff", "ideal", {"beta": 3})], paper_q32, [8])
 
     def test_single_subblock_flag(self, paper_q32):
         assert Tradeoff(paper_q32, 8, 8, 8, alpha=8, beta=4, mu=4).single_subblock

@@ -95,11 +95,9 @@ class TestRealSources:
         # knob into the real cell fingerprint call and the rule fires.
         path = SRC_ROOT / "sim" / "parallel.py"
         source = path.read_text(encoding="utf-8")
-        needle = "        return cell_fingerprint(\n            algorithm=algorithm,\n"
+        needle = "    return cell_fingerprint(\n        algorithm=algorithm,\n"
         assert needle in source
-        mutated = source.replace(
-            needle, needle + "            _pool=self.workers,\n", 1
-        )
+        mutated = source.replace(needle, needle + "        _pool=self.workers,\n", 1)
         findings = check_purity(ast.parse(mutated), str(path), source=mutated)
         assert [f.rule_id for f in findings] == [RULE]
         assert "workers" in findings[0].message

@@ -102,6 +102,14 @@ class TestStructure:
             p.key: p.series for p in serial.panels
         }
 
+    @pytest.mark.parametrize("fig_id", [f"fig{i}" for i in range(4, 12)])
+    def test_every_order_figure_on_the_engine_matches_serial(self, fig_id):
+        serial = get_figure(fig_id, orders=(8, 12))
+        par = get_figure(fig_id, orders=(8, 12), workers=2)
+        assert {p.key: p.series for p in par.panels} == {
+            p.key: p.series for p in serial.panels
+        }
+
 
 class TestContent:
     def test_figure4_lru_2c_below_twice_formula(self):

@@ -26,6 +26,7 @@ from repro.fabric.protocol import encode_line, read_message
 from repro.fabric.worker import EXIT_COORDINATOR_LOST, FabricWorker
 from repro.model.machine import MulticoreMachine
 from repro.sim.faults import FaultSpec, dump_fault_plan
+from repro.sim.parallel import parallel_order_sweep
 from repro.sim.sweep import order_sweep
 from repro.store import RunStore, result_from_dict
 from repro.store.serde import machine_to_dict
@@ -382,6 +383,46 @@ class TestCoordinatorChaos:
         # And the audit agrees nothing was lost.
         audit = store.audit()
         assert audit.ok, audit.errors
+
+
+class TestPoolInterop:
+    """The pool engine and the fabric share one cell grid and fingerprint
+    helper, so each resumes the other's completed run dir untouched."""
+
+    ENTRIES = [("shared-opt", "ideal"), ("distributed-opt", "ideal")]
+    ORDERS = [4, 6]
+
+    def assert_all_resumed(self, sweep):
+        assert sweep.complete
+        assert sweep.manifest.resumed_cells == 4
+        assert all(cell.resumed for cell in sweep.manifest.cells)
+        assert_matches_serial(sweep, order_sweep(self.ENTRIES, MACHINE, self.ORDERS))
+
+    def test_fabric_resumes_pool_run_dir(self, tmp_path):
+        run_dir = tmp_path / "run"
+        pool = parallel_order_sweep(
+            self.ENTRIES, MACHINE, self.ORDERS, workers=1, run_dir=run_dir
+        )
+        assert pool.complete
+        sweep = run_local_fabric(
+            self.ENTRIES, MACHINE, self.ORDERS, run_dir=run_dir, workers=1,
+            resume=True,
+        )
+        self.assert_all_resumed(sweep)
+        assert sweep.manifest.fabric.leases_granted == 0
+
+    def test_pool_resumes_fabric_run_dir(self, tmp_path):
+        run_dir = tmp_path / "run"
+        fabric = run_local_fabric(
+            self.ENTRIES, MACHINE, self.ORDERS, run_dir=run_dir, workers=1
+        )
+        assert fabric.complete
+        sweep = parallel_order_sweep(
+            self.ENTRIES, MACHINE, self.ORDERS, workers=1, run_dir=run_dir,
+            resume=True,
+        )
+        self.assert_all_resumed(sweep)
+        assert sweep.manifest.worker_stats == []
 
 
 class TestFabricCLI:

@@ -1,5 +1,7 @@
 """Tests for process-parallel sweeps: identical results, just faster."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,3 +106,55 @@ class TestSerialParallelAgreement:
                 assert ppoint.stats == spoint.stats
                 assert ppoint.comp == spoint.comp
                 assert ppoint.parameters == spoint.parameters
+
+
+class TestLargestFirstDispatch:
+    """The engine submits cells in descending ``m·n·z``, stably, before
+    chunking — the nightly's paper-scale cells must never queue behind
+    small ones."""
+
+    @staticmethod
+    def recording_pool(submitted):
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append([(spec[0], spec[1]) for spec in args[0]])
+                return super().submit(fn, *args, **kwargs)
+
+        return RecordingPool
+
+    def test_largest_cells_submitted_first(self):
+        submitted = []
+        sweep = parallel_order_sweep(
+            ENTRIES,
+            MACHINE,
+            [4, 8, 6],
+            workers=1,
+            chunksize=2,
+            pool_factory=self.recording_pool(submitted),
+        )
+        assert sweep.complete
+        # Chunks are cut from the sorted queue; equal sizes keep grid
+        # (entry) order.
+        assert submitted == [
+            [("shared-opt ideal", 1), ("outer-product lru", 1)],  # order 8
+            [("shared-opt ideal", 2), ("outer-product lru", 2)],  # order 6
+            [("shared-opt ideal", 0), ("outer-product lru", 0)],  # order 4
+        ]
+
+    def test_order_sweep_workers_dispatch_one_cell_per_task(self, monkeypatch):
+        import repro.sim.parallel as parallel
+
+        submitted = []
+        monkeypatch.setattr(
+            parallel, "ProcessPoolExecutor", self.recording_pool(submitted)
+        )
+        sweep = order_sweep(ENTRIES, MACHINE, [4, 8, 6], workers=2)
+        assert sweep.manifest is not None and sweep.manifest.chunksize == 1
+        assert submitted == [
+            [("shared-opt ideal", 1)],
+            [("outer-product lru", 1)],
+            [("shared-opt ideal", 2)],
+            [("outer-product lru", 2)],
+            [("shared-opt ideal", 0)],
+            [("outer-product lru", 0)],
+        ]

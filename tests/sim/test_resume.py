@@ -133,9 +133,11 @@ class TestKillAndResume:
             workers=1,
             chunksize=1,
             run_dir={run_dir!r},
-            # The last cell hangs forever: the child is guaranteed to be
-            # alive, mid-sweep, with every earlier cell checkpointed.
-            fault_plan={{("outer-product lru", 2): FaultSpec(kind="hang")}},
+            # The last cell dispatched (largest order first, so the
+            # second entry's smallest order) hangs forever: the child is
+            # guaranteed to be alive, mid-sweep, with every earlier cell
+            # checkpointed.
+            fault_plan={{("outer-product lru", 0): FaultSpec(kind="hang")}},
         )
         """
     )

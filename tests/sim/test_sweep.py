@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from repro.algorithms.registry import ALGORITHMS
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.sim import sweep as sweep_module
 from repro.sim.results import SweepResult
 from repro.sim.runner import run_experiment
@@ -107,6 +107,36 @@ class TestParallelOrderSweep:
     def test_worker_errors_propagate(self, quad):
         with pytest.raises(ConfigurationError):
             order_sweep([("shared-opt", "nope")], quad, [4], workers=2)
+
+
+class TestOrderSweepOnEngine:
+    """``order_sweep(workers>1)`` keeps the serial contract on the engine."""
+
+    def test_failed_cell_raises_naming_it(self, quad):
+        with pytest.raises(
+            ReproError,
+            match=r"'shared-opt ideal lam=99' at order 4 failed after 1 "
+            r"attempt\(s\): ParameterError: lambda=99",
+        ):
+            order_sweep([("shared-opt", "ideal", {"lam": 99})], quad, [4], workers=2)
+
+    @pytest.mark.parametrize(
+        "entry", [("nope", "ideal"), ("shared-opt", "nope")]
+    )
+    def test_unknown_names_raise_before_any_pool(self, quad, monkeypatch, entry):
+        import repro.sim.parallel as parallel
+
+        def no_pool(**_kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigurationError, match="unknown"):
+            order_sweep([entry], quad, [4], workers=2)
+
+    def test_result_carries_the_engine_manifest(self, quad):
+        sweep = order_sweep([("shared-opt", "ideal")], quad, [4, 6], workers=2)
+        assert sweep.manifest is not None
+        assert sweep.manifest.counts() == {"ok": 2, "failed": 0, "skipped": 0}
 
 
 class TestRatioSweep:
